@@ -85,25 +85,19 @@ def tour() -> int:
 
 
 def _build_engine(layers: str, quick: bool):
-    from repro.core.refine.proof import build_proof
+    from repro.core.refine.proof import LAYERS, build_proof
 
     selected = {name for name in layers.split(",") if name}
-    known = {"all", "lemmas", "structural", "nr", "contract", "sched",
-             "rg"}
+    known = {"all"} | {layer.name for layer in LAYERS}
     unknown = selected - known
     if unknown:
         raise SystemExit(f"unknown --layers {sorted(unknown)}; "
                          f"choose from {sorted(known)}")
-    everything = "all" in selected
     return build_proof(
-        include_lemmas=everything or "lemmas" in selected,
-        include_structural=everything or "structural" in selected,
-        include_nr=everything or "nr" in selected,
-        include_contract=everything or "contract" in selected,
-        include_sched=everything or "sched" in selected,
-        include_rg=everything or "rg" in selected,
         scenario_depth=2 if quick else 3,
         scenario_cap=12 if quick else 60,
+        **{f"include_{layer.name}": "all" in selected
+           or layer.name in selected for layer in LAYERS},
     )
 
 

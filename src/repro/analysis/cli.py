@@ -17,8 +17,8 @@ import os
 import pathlib
 
 from repro import obs
-from repro.analysis.findings import (AnalysisReport, apply_suppressions,
-                                     dead_suppressions)
+from repro.analysis.findings import (AnalysisReport, Finding,
+                                     apply_suppressions, dead_suppressions)
 from repro.analysis.imports import check_layering, discover_sources
 from repro.analysis.purity import check_purity
 from repro.analysis.race import default_scripts, detect_races
@@ -59,18 +59,25 @@ def run_analysis(root=None, skip=(), seeds=None, max_steps: int = 200_000,
     report = AnalysisReport()
     quick = os.environ.get("REPRO_BENCH_QUICK") == "1"
 
+    # Resolve the mutant before any pass runs: an unknown name is an
+    # error whatever --skip says.
+    kind = target = None
+    if mutant is not None:
+        from repro.analysis.mutants import MUTANTS
+
+        if mutant not in MUTANTS:
+            raise SystemExit(f"unknown --mutant {mutant!r}; choose from "
+                             f"{sorted(MUTANTS)}")
+        kind, target = MUTANTS[mutant].kind, MUTANTS[mutant].target
+
     custom_root = root is not None
     root = pathlib.Path(root) if custom_root else repo_root()
     layer_map = _load_layer_map(root) if custom_root else None
     sources = discover_sources(root, None if layer_map else "src/repro")
+    if kind == "rg":
+        from repro.analysis.mutants import apply_rg_mutant
 
-    rg_mutant = None
-    if mutant is not None:
-        from repro.analysis.rg_mutants import RG_MUTANTS, apply_rg_mutant
-
-        if mutant in RG_MUTANTS:
-            rg_mutant = mutant
-            sources = apply_rg_mutant(sources, mutant)
+        sources = apply_rg_mutant(sources, mutant)
 
     if "layering" not in skip:
         findings, stats = check_layering(sources, layer_map)
@@ -87,8 +94,8 @@ def run_analysis(root=None, skip=(), seeds=None, max_steps: int = 200_000,
 
         findings, stats = check_interference(sources)
         report.extend(findings)
-        if rg_mutant is not None:
-            stats["target"] = f"mutant:{rg_mutant}"
+        if kind == "rg":
+            stats["target"] = f"mutant:{mutant}"
         report.stats["rg"] = stats
 
     if "lockorder" not in skip:
@@ -101,85 +108,62 @@ def run_analysis(root=None, skip=(), seeds=None, max_steps: int = 200_000,
     apply_suppressions(report.findings, sources)
 
     if "deadsupp" not in skip and not set(_STATIC_PASSES) & set(skip) \
-            and rg_mutant is None:
+            and kind != "rg":
         findings = dead_suppressions(report.findings, sources)
         report.extend(findings)
         report.stats["deadsupp"] = {"dead": len(findings)}
 
     if "race" not in skip:
-        from repro.analysis.sched_race import (SCHED_MUTANTS,
-                                               detect_sched_races)
-
         if seeds is None:
             seeds = RACE_SEEDS_QUICK if quick else RACE_SEEDS
-        nr_factory = None
-        sched_protocol = None
-        run_nr = run_sched = mutant is None
-        if mutant is not None and rg_mutant is None:
-            from repro.analysis.mutants import MUTANTS
-            from repro.analysis.rg_mutants import RG_MUTANTS
-            from repro.nr.datastructures import KvStore
-
-            if mutant in MUTANTS:
-                cls = MUTANTS[mutant]
-                nr_factory = lambda: cls(KvStore, num_nodes=2)  # noqa: E731
-                run_nr = True
-            elif mutant in SCHED_MUTANTS:
-                sched_protocol = SCHED_MUTANTS[mutant]
-                run_sched = True
-            else:
-                raise SystemExit(
-                    f"unknown --mutant {mutant!r}; choose from "
-                    f"{sorted(MUTANTS) + sorted(SCHED_MUTANTS) + sorted(RG_MUTANTS)}")
-        if run_nr:
-            race_report = detect_races(seeds, nr_factory=nr_factory,
-                                       scripts=default_scripts(),
-                                       max_steps=max_steps)
-            for race in race_report.races:
-                report.findings.append(_race_finding(race, mutant))
-            report.stats["race"] = {
-                "schedules": race_report.schedules,
-                "steps": race_report.steps,
-                "accesses": race_report.accesses,
-                "races": len(race_report.races),
-                "target": mutant or "nr-protocol",
-            }
-        if run_sched:
-            kwargs = ({"protocol_cls": sched_protocol}
-                      if sched_protocol is not None else {})
-            sched_report = detect_sched_races(seeds, **kwargs)
-            for race in sched_report.races:
-                report.findings.append(_sched_race_finding(race, mutant))
-            report.stats["race_sched"] = {
-                "schedules": sched_report.schedules,
-                "steps": sched_report.steps,
-                "accesses": sched_report.accesses,
-                "races": len(sched_report.races),
-                "target": mutant or "sched-protocol",
+        # No mutant: replay both real protocols.  An nr or sched mutant
+        # replaces its protocol; an rg mutant is not a protocol at all.
+        for protocol in ("nr", "sched"):
+            if kind not in (None, protocol):
+                continue
+            stage, real, label, path, mutant_path = _PROTOCOLS[protocol]
+            races = _replay(protocol, target, seeds, max_steps)
+            for race in races.races:
+                report.findings.append(Finding(
+                    rule="race.unordered-access",
+                    path=mutant_path if mutant else path, line=1,
+                    message=f"[{f'mutant:{mutant}' if mutant else label}] "
+                            f"{race.render()}"))
+            report.stats[stage] = {
+                "schedules": races.schedules,
+                "steps": races.steps,
+                "accesses": races.accesses,
+                "races": len(races.races),
+                "target": mutant or real,
             }
     return report
 
 
-def _race_finding(race, mutant):
-    from repro.analysis.findings import Finding
+#: race-replayed protocol -> (stats stage, real-protocol target, finding
+#: label, real protocol's path, its mutants' path).
+_PROTOCOLS = {
+    "nr": ("race", "nr-protocol", "repro.nr protocol",
+           "src/repro/nr/core.py", "src/repro/analysis/mutants.py"),
+    "sched": ("race_sched", "sched-protocol", "repro.nros.sched protocol",
+              "src/repro/nros/sched/smp.py",
+              "src/repro/analysis/sched_race.py"),
+}
 
-    source = f"mutant:{mutant}" if mutant else "repro.nr protocol"
-    return Finding(rule="race.unordered-access",
-                   path="src/repro/nr/core.py" if not mutant
-                        else "src/repro/analysis/mutants.py",
-                   line=1,
-                   message=f"[{source}] {race.render()}")
 
+def _replay(protocol: str, mutant_cls, seeds, max_steps: int):
+    """Race-replay the real `protocol`, or `mutant_cls` in its place."""
+    if protocol == "sched":
+        from repro.analysis.sched_race import detect_sched_races
 
-def _sched_race_finding(race, mutant):
-    from repro.analysis.findings import Finding
+        return detect_sched_races(seeds, **(
+            {"protocol_cls": mutant_cls} if mutant_cls else {}))
+    nr_factory = None
+    if mutant_cls is not None:
+        from repro.nr.datastructures import KvStore
 
-    source = f"mutant:{mutant}" if mutant else "repro.nros.sched protocol"
-    return Finding(rule="race.unordered-access",
-                   path="src/repro/nros/sched/smp.py" if not mutant
-                        else "src/repro/analysis/sched_race.py",
-                   line=1,
-                   message=f"[{source}] {race.render()}")
+        nr_factory = lambda: mutant_cls(KvStore, num_nodes=2)  # noqa: E731
+    return detect_races(seeds, nr_factory=nr_factory,
+                        scripts=default_scripts(), max_steps=max_steps)
 
 
 def _emit_events(report: AnalysisReport) -> None:

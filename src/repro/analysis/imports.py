@@ -50,10 +50,12 @@ def discover_sources(root: pathlib.Path,
     base = root / subdir if subdir else root
     sources = {}
     for path in sorted(base.rglob("*.py")):
-        if any(part.startswith(".") for part in path.parts):
+        relpath = path.relative_to(root)
+        # Hidden directories *below* the root only: the checkout itself
+        # may live under one.
+        if any(part.startswith(".") for part in relpath.parts):
             continue
-        sources[path.relative_to(root).as_posix()] = path.read_text(
-            encoding="utf-8")
+        sources[relpath.as_posix()] = path.read_text(encoding="utf-8")
     return sources
 
 

@@ -1,14 +1,34 @@
-"""Seeded protocol mutants the race detector must catch.
+"""Seeded mutants the analysis passes must catch — one registry.
 
 A detector that has only ever said "no races" is indistinguishable from
-a detector that is wired to nothing.  Each mutant here is a known-racy
-variant of the NR step protocol; CI runs the detector against them and
-fails if they stop being flagged (the analysis analog of the fault
-campaign's seeded injections).
+a detector that is wired to nothing.  Each mutant is a known-bad variant
+of real code; CI runs ``python -m repro analyze --mutant <name>`` for
+every entry of :data:`MUTANTS` and fails if one stops being flagged (the
+analysis analog of the fault campaign's seeded injections).  Three kinds:
+
+* ``nr`` — racy variants of the NR step protocol (the classes below),
+  replayed by the race pass;
+* ``sched`` — racy SMP runqueue protocols
+  (:mod:`repro.analysis.sched_race`), replayed by the race pass;
+* ``rg`` — deterministic AST transforms of the committed allocator
+  source.  The transformed module replaces ``nros/pmem.py`` in the
+  analyzed source set and the rg pass flags the now-unguarded
+  mutations; being pure source transforms, they are flagged identically
+  at every seed.  ``pmem-free-unlocked`` drops ``free_block``'s lock
+  bracket entirely: a concurrent ``alloc_block`` can observe the free
+  lists mid-coalesce (the classic lost-merge / double-ownership race).
+  ``buddy-split-no-merge-lock`` releases the lock after picking a block
+  but *before* splitting it and publishing the allocation, so the split
+  loop's free-list writes race with a concurrent free's coalescing.
 """
 
 from __future__ import annotations
 
+import ast
+from dataclasses import dataclass
+
+from repro.analysis.sched_race import (DoubleEnqueueProtocol,
+                                       StealLockElisionProtocol)
 from repro.nr.core import (
     APPLY,
     NodeReplicated,
@@ -20,6 +40,7 @@ from repro.nr.core import (
     WLOCK,
 )
 from repro.nr.log import LogEntry
+from repro.verif.rgspec import PMEM
 
 
 class ReaderLockElisionNR(NodeReplicated):
@@ -122,8 +143,80 @@ class WriterLockElisionNR(NodeReplicated):
             yield RELEASE
 
 
-#: Name -> NodeReplicated subclass, for `python -m repro analyze --mutant`.
+# -- rg: source transforms of the buddy allocator ---------------------------
+
+
+#: The module the mutants rewrite (the rg component declaration is the
+#: single source of truth for its path).
+PMEM_MODULE = PMEM.module
+
+
+def _method(tree, cls: str, name: str) -> ast.FunctionDef:
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and \
+                        item.name == name:
+                    return item
+    raise ValueError(f"{cls}.{name} not found in pmem source")
+
+
+def _the_with(method: ast.FunctionDef) -> tuple[int, ast.With]:
+    for index, node in enumerate(method.body):
+        if isinstance(node, ast.With):
+            return index, node
+    raise ValueError(f"{method.name} has no with-block to mutate")
+
+
+def _free_unlocked(source: str) -> str:
+    """Replace free_block's lock bracket with its bare body."""
+    tree = ast.parse(source)
+    method = _method(tree, PMEM.cls, "free_block")
+    index, with_node = _the_with(method)
+    method.body[index:index + 1] = with_node.body
+    return ast.unparse(ast.fix_missing_locations(tree))
+
+
+def _split_no_merge_lock(source: str) -> str:
+    """Hoist alloc_block's split loop (and everything after it) out of
+    the lock bracket: the block is picked under the lock, but the split
+    and the publication to the allocated map run unguarded."""
+    tree = ast.parse(source)
+    method = _method(tree, PMEM.cls, "alloc_block")
+    index, with_node = _the_with(method)
+    split_at = next(
+        i for i, node in enumerate(with_node.body)
+        if isinstance(node, ast.While))
+    hoisted = with_node.body[split_at:]
+    with_node.body = with_node.body[:split_at]
+    method.body[index + 1:index + 1] = hoisted
+    return ast.unparse(ast.fix_missing_locations(tree))
+
+
+@dataclass(frozen=True)
+class Mutant:
+    """A registered mutant: `kind` picks the pass that must flag it and
+    what `target` is — a NodeReplicated subclass (``nr``), an SMP
+    runqueue protocol class (``sched``), or a transform of the pmem
+    module's source text (``rg``)."""
+
+    kind: str
+    target: object
+
+
+#: name -> mutant, for `python -m repro analyze --mutant` and the CI gate.
 MUTANTS = {
-    "reader-lock-elision": ReaderLockElisionNR,
-    "writer-lock-elision": WriterLockElisionNR,
+    "reader-lock-elision": Mutant("nr", ReaderLockElisionNR),
+    "writer-lock-elision": Mutant("nr", WriterLockElisionNR),
+    "sched-steal-lock-elision": Mutant("sched", StealLockElisionProtocol),
+    "sched-double-enqueue": Mutant("sched", DoubleEnqueueProtocol),
+    "pmem-free-unlocked": Mutant("rg", _free_unlocked),
+    "buddy-split-no-merge-lock": Mutant("rg", _split_no_merge_lock),
 }
+
+
+def apply_rg_mutant(sources: dict[str, str], name: str) -> dict[str, str]:
+    """A copy of the source set with the ``rg`` mutant applied."""
+    mutated = dict(sources)
+    mutated[PMEM_MODULE] = MUTANTS[name].target(sources[PMEM_MODULE])
+    return mutated

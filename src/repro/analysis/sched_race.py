@@ -130,13 +130,6 @@ class DoubleEnqueueProtocol(SchedProtocol):
         return tid
 
 
-#: mutant name -> protocol class (the ``--mutant`` registry).
-SCHED_MUTANTS = {
-    "sched-steal-lock-elision": StealLockElisionProtocol,
-    "sched-double-enqueue": DoubleEnqueueProtocol,
-}
-
-
 # -- the replay ---------------------------------------------------------------
 
 

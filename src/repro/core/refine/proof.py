@@ -13,12 +13,18 @@ Builds the full verification-condition population:
 * ``tlb`` — the shootdown protocol keeps TLBs consistent.
 
 `build_proof()` returns a :class:`ProofEngine` whose `run()` produces the
-timing population of Figure 1a.  Optional groups (node-replication
-linearizability, the client syscall contract) are added by their own
+timing population of Figure 1a.  The population is assembled from the
+ordered :data:`LAYERS` table; the layers beyond the structural proof
+(node-replication linearizability, the client syscall contract, the
+scheduler, rely-guarantee stability) build their VCs in their own
 modules to keep the layering of the paper's Figure 2.
 """
 
 from __future__ import annotations
+
+import functools
+from dataclasses import dataclass
+from typing import Callable
 
 from repro.core.pt import defs, entry
 from repro.core.pt.defs import Flags, PageSize
@@ -839,125 +845,124 @@ def proof_structure() -> list[str]:
     ]
 
 
-class _ScenarioCache:
-    """Builds the scenario list once and shares it across VCs."""
+def structural_vcs(source) -> list[VC]:
+    """The bounded structural proof over the shared scenario `source`:
+    invariant preservation, simulation, hardware agreement, TLB
+    consistency and the end-to-end refinement traces."""
+    vcs = [_invariant_preservation_vc(inv_name, kind, source)
+           for inv_name in TREE_INVARIANTS for kind in OP_KINDS]
+    for size in PageSize:
+        vcs.append(_sim_map_success_vc(size, source))
+        vcs.append(_sim_map_failure_vc(size, source))
+    vcs.append(_sim_unmap_success_vc(source))
+    vcs.append(_sim_unmap_failure_vc(source))
+    resolve_kinds = ("SIZE_4K", "SIZE_2M", "SIZE_1G", "unmapped")
+    vcs += [_sim_resolve_vc(kind, source) for kind in resolve_kinds]
+    vcs += [_sim_overlap_matrix_vc(new_size, old_size)
+            for new_size in PageSize for old_size in PageSize]
+    vcs += [_sim_unmap_interior_vc(size) for size in PageSize]
 
-    def __init__(self, max_depth: int, max_scenarios: int) -> None:
-        self.max_depth = max_depth
-        self.max_scenarios = max_scenarios
-        self._scenarios: list | None = None
+    vcs += [_hw_walk_agreement_vc(kind, source) for kind in resolve_kinds]
+    vcs += [_hw_permission_vc(which) for which in
+            ("write_to_readonly", "user_to_supervisor", "execute_nx")]
+    vcs += [_hw_memops_vc(which, source)
+            for which in ("store_then_load", "aliasing")]
+    vcs += [_hw_resolve_vs_walk_vc(size, source) for size in PageSize]
 
-    def __call__(self):
-        if self._scenarios is None:
-            self._scenarios = scen.generate_scenarios(
-                max_depth=self.max_depth, max_scenarios=self.max_scenarios
-            )
-        return self._scenarios
+    vcs += [_tlb_vc(which, source) for which in
+            ("shootdown_4k", "shootdown_2m", "shootdown_1g",
+             "fill_consistent", "flush_consistent", "remap_after_shootdown",
+             "eviction_preserves_consistency", "stale_entry_detected")]
+    vcs.append(_tlb_context_switch_vc())
+
+    vcs.append(_refinement_trace_vc("state"))
+    vcs.append(_refinement_trace_vc("observable"))
+    return vcs
 
 
-def build_proof(
-    include_lemmas: bool = True,
-    include_structural: bool = True,
-    include_nr: bool = True,
-    include_contract: bool = True,
-    include_sched: bool = False,
-    include_rg: bool = False,
-    scenario_depth: int = 3,
-    scenario_cap: int = 60,
-) -> ProofEngine:
+# The optional layers live in their own modules; importing them only when
+# selected keeps a lemmas-only build from loading the scheduler or rg specs.
+
+
+def _nr_vcs(_source) -> list[VC]:
+    from repro.nr.proof import linearizability_vcs
+
+    return linearizability_vcs()
+
+
+def _contract_vcs(_source) -> list[VC]:
+    from repro.core.contract.proof import contract_vcs
+
+    return contract_vcs()
+
+
+def _sched_vcs(_source) -> list[VC]:
+    from repro.verif.schedproof import scheduler_vcs
+
+    return scheduler_vcs()
+
+
+def _rg_vcs(_source) -> list[VC]:
+    from repro.verif.rgproof import rg_vcs
+
+    return rg_vcs()
+
+
+@dataclass(frozen=True)
+class Layer:
+    """One proof layer: `vcs(source)` builds its VCs over the shared
+    scenario source; `build_proof(include_<name>=...)` selects it."""
+
+    name: str
+    on_by_default: bool
+    vcs: Callable
+
+
+#: Every proof layer in assembly order — the single source for
+#: `build_proof`'s keywords, its `rebuild_spec`, and `prove --layers`.
+LAYERS = (
+    Layer("lemmas", True, lambda _source: all_lemma_vcs()),
+    Layer("structural", True, structural_vcs),
+    Layer("nr", True, _nr_vcs),
+    Layer("contract", True, _contract_vcs),
+    Layer("sched", False, _sched_vcs),
+    Layer("rg", False, _rg_vcs),
+)
+
+
+def build_proof(*, scenario_depth: int = 3, scenario_cap: int = 60,
+                **include: bool) -> ProofEngine:
     """Assemble the full proof as a :class:`ProofEngine`.
 
-    The default configuration registers the complete VC population used by
-    the Figure 1a benchmark; the flags let tests and ablations run layers
-    in isolation.
+    Each layer of :data:`LAYERS` is selected by an ``include_<name>``
+    keyword, defaulting to its ``on_by_default``; the default
+    configuration registers the complete VC population used by the
+    Figure 1a benchmark.  Every VC lands in the group named by its
+    category.
 
     The engine carries a `rebuild_spec` naming this builder and its exact
     arguments, so `repro.prover`'s process workers can reconstruct any of
     the population's VCs by name (the VC closures themselves don't pickle).
     """
+    selected = {f"include_{layer.name}": layer.on_by_default
+                for layer in LAYERS}
+    unknown = set(include) - set(selected)
+    if unknown:
+        raise TypeError(f"build_proof() got unexpected keyword(s) "
+                        f"{sorted(unknown)}; layers: {sorted(selected)}")
+    selected.update(include)
     engine = ProofEngine()
     engine.rebuild_spec = ("pt-refinement", {
-        "include_lemmas": include_lemmas,
-        "include_structural": include_structural,
-        "include_nr": include_nr,
-        "include_contract": include_contract,
-        "include_sched": include_sched,
-        "include_rg": include_rg,
+        **selected,
         "scenario_depth": scenario_depth,
         "scenario_cap": scenario_cap,
     })
-    source = _ScenarioCache(scenario_depth, scenario_cap)
-
-    if include_lemmas:
-        for vc in all_lemma_vcs():
-            engine.add(vc, group=vc.category)
-
-    if include_structural:
-        for inv_name in TREE_INVARIANTS:
-            for kind in OP_KINDS:
-                engine.add(
-                    _invariant_preservation_vc(inv_name, kind, source),
-                    group="invariants",
-                )
-        for size in PageSize:
-            engine.add(_sim_map_success_vc(size, source), group="simulation")
-            engine.add(_sim_map_failure_vc(size, source), group="simulation")
-        engine.add(_sim_unmap_success_vc(source), group="simulation")
-        engine.add(_sim_unmap_failure_vc(source), group="simulation")
-        for kind in ("SIZE_4K", "SIZE_2M", "SIZE_1G", "unmapped"):
-            engine.add(_sim_resolve_vc(kind, source), group="simulation")
-        for new_size in PageSize:
-            for old_size in PageSize:
-                engine.add(_sim_overlap_matrix_vc(new_size, old_size),
-                           group="simulation")
-        for size in PageSize:
-            engine.add(_sim_unmap_interior_vc(size), group="simulation")
-
-        for kind in ("SIZE_4K", "SIZE_2M", "SIZE_1G", "unmapped"):
-            engine.add(_hw_walk_agreement_vc(kind, source),
-                       group="hardware-agreement")
-        for which in ("write_to_readonly", "user_to_supervisor", "execute_nx"):
-            engine.add(_hw_permission_vc(which), group="hardware-agreement")
-        for which in ("store_then_load", "aliasing"):
-            engine.add(_hw_memops_vc(which, source),
-                       group="hardware-agreement")
-        for size in PageSize:
-            engine.add(_hw_resolve_vs_walk_vc(size, source),
-                       group="hardware-agreement")
-
-        for which in ("shootdown_4k", "shootdown_2m", "shootdown_1g",
-                      "fill_consistent", "flush_consistent",
-                      "remap_after_shootdown",
-                      "eviction_preserves_consistency",
-                      "stale_entry_detected"):
-            engine.add(_tlb_vc(which, source), group="tlb")
-        engine.add(_tlb_context_switch_vc(), group="tlb")
-
-        engine.add(_refinement_trace_vc("state"), group="refinement")
-        engine.add(_refinement_trace_vc("observable"), group="refinement")
-
-    if include_nr:
-        from repro.nr.proof import linearizability_vcs
-
-        for vc in linearizability_vcs():
-            engine.add(vc, group="nr-linearizability")
-
-    if include_contract:
-        from repro.core.contract.proof import contract_vcs
-
-        for vc in contract_vcs():
-            engine.add(vc, group="contract")
-
-    if include_sched:
-        from repro.verif.schedproof import scheduler_vcs
-
-        for vc in scheduler_vcs():
-            engine.add(vc, group="scheduler")
-
-    if include_rg:
-        from repro.verif.rgproof import rg_vcs
-
-        for vc in rg_vcs():
-            engine.add(vc, group="rg")
-
+    # Scenarios are generated on first use and shared by every VC.
+    source = functools.cache(functools.partial(
+        scen.generate_scenarios, max_depth=scenario_depth,
+        max_scenarios=scenario_cap))
+    for layer in LAYERS:
+        if selected[f"include_{layer.name}"]:
+            for vc in layer.vcs(source):
+                engine.add(vc, group=vc.category)
     return engine

@@ -2,7 +2,9 @@
 
 Used to discharge inductive-invariant and simulation obligations over the
 small representative configurations the proof enumerates — the "lightweight
-formal methods" flavour of the paper's refinement proof.
+formal methods" flavour of the paper's refinement proof.  :class:`FiniteModel`
+is the shared scaffold of the scheduler and rely-guarantee VC families:
+explore once, then explored / inductive / vacuity VCs over that one set.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.verif.statemachine import SpecStateMachine
+from repro.verif.vc import VC
 
 
 @dataclass
@@ -82,3 +85,90 @@ def check_inductive(
             if not invariant(successor):
                 return (state, name, args, successor)
     return None
+
+
+class FiniteModel:
+    """One finite spec model behind a VC family.
+
+    `builder()` makes the :class:`SpecStateMachine`; the model explores
+    it at most once, on first use, and every VC built here shares that
+    reachable set.  The VC factories cover the obligations every finite
+    model carries: full coverage of the reachable space, inductiveness
+    of each invariant, and non-vacuity of the invariants.
+    """
+
+    def __init__(self, builder, category: str, max_states: int) -> None:
+        self.builder = builder
+        self.category = category
+        self.max_states = max_states
+        self._explored: tuple | None = None
+
+    def explored(self) -> tuple[SpecStateMachine, ExploreResult]:
+        if self._explored is None:
+            machine = self.builder()
+            self._explored = (machine, reachable_states(
+                machine, max_states=self.max_states))
+        return self._explored
+
+    def explored_vc(self, name: str, description: str) -> VC:
+        """Exploration covers the whole space (hitting the cap is a
+        regression signal) with every invariant holding."""
+        def check():
+            _machine, result = self.explored()
+            if result.truncated:
+                return ("state space exceeded the exploration cap",
+                        self.max_states)
+            if not result.ok:
+                invariant, state, trace = result.violation
+                return (invariant, trace, state)
+            return None
+
+        return VC(name=name, category=self.category, check=check,
+                  description=description)
+
+    def inductive_vc(self, invariant: str, name: str, description: str,
+                     action: str | None = None,
+                     extra_states=None) -> VC:
+        """`invariant` is preserved by every enabled step from the
+        reachable states — by the single transition `action` if given
+        (stability under one interfering guarantee).  `extra_states`,
+        a function of the reachable states, adds unvisited states; only
+        those satisfying the invariant *conjunction* count (the usual
+        strengthening: a state already violating a sibling invariant is
+        unreachable noise, not a counterexample)."""
+        def check():
+            machine, result = self.explored()
+            states = result.states
+            if extra_states is not None:
+                states = states + [s for s in extra_states(states)
+                                   if machine.check_invariants(s) is None]
+            if action is not None:
+                machine = SpecStateMachine(
+                    name=f"{machine.name}-{action}",
+                    init_states=machine.init_states,
+                    transitions=[machine.transition(action)],
+                    invariants=machine.invariants,
+                )
+            return check_inductive(machine, states, invariant)
+
+        return VC(name=name, category=self.category, check=check,
+                  description=description)
+
+    def vacuity_vc(self, broken_states, name: str,
+                   description: str) -> VC:
+        """`broken_states()` maps each invariant to a hand-built state
+        that must violate *that* invariant; every invariant needs one,
+        so none of them can be vacuous."""
+        def check():
+            invariants = self.builder().invariants
+            broken = broken_states()
+            for invariant in invariants:
+                if invariant not in broken:
+                    return ("invariant has no broken witness", invariant)
+            for invariant, state in broken.items():
+                if invariants[invariant](state):
+                    return ("broken state not flagged", invariant, state)
+            return None
+
+        return VC(name=name, category=self.category, check=check,
+                  description=description)

@@ -12,7 +12,9 @@ Three families behind ``python -m repro prove --layers rg``:
   every thread's guarantee is drawn from the same action set, that is
   exactly "I is stable under the rely": any other thread firing the
   action from any reachable state preserves I.  Vacuity VCs hand-build
-  broken states per invariant and demand they are flagged;
+  one broken state per invariant and demand each violates its own
+  invariant.  All three come from the shared
+  :class:`~repro.verif.explore.FiniteModel` scaffold;
 
 * **conformance obligations** — seeded alloc/free traces drive the real
   :class:`~repro.nros.pmem.BuddyAllocator` and check
@@ -40,8 +42,7 @@ import pathlib
 import random
 
 from repro.verif import rgspec as rs
-from repro.verif.explore import check_inductive, reachable_states
-from repro.verif.statemachine import SpecStateMachine
+from repro.verif.explore import FiniteModel
 from repro.verif.vc import VC
 
 #: Exploration cap — comfortably above the measured reachable-space
@@ -52,67 +53,6 @@ MAX_STATES = 5_000
 
 _TRACE_SEEDS = (1, 2, 3)
 _TRACE_OPS = 200
-
-
-class _RgModelCache:
-    """Explore each interference model once, share across the family."""
-
-    def __init__(self) -> None:
-        self._results: dict = {}
-
-    def result(self, name: str):
-        if name not in self._results:
-            builder = dict((n, b) for n, b, _invs in rs.MODELS)[name]
-            machine = builder()
-            self._results[name] = (
-                machine, reachable_states(machine, max_states=MAX_STATES))
-        return self._results[name]
-
-
-def _spec_explored_vc(cache: _RgModelCache, model: str) -> VC:
-    def check():
-        _machine, result = cache.result(model)
-        if result.truncated:
-            return ("state space exceeded the exploration cap",
-                    MAX_STATES)
-        if not result.ok:
-            name, state, trace = result.violation
-            return (name, trace, state)
-        return None
-
-    return VC(
-        name=f"rg-spec-explored-{model}",
-        category="rg",
-        check=check,
-        description=f"bounded exploration covers the finite {model} "
-                    f"interference model with every invariant holding",
-    )
-
-
-def _stability_vc(cache: _RgModelCache, model: str, invariant: str,
-                  action: str) -> VC:
-    def check():
-        machine, result = cache.result(model)
-        # The rely is the union of the other threads' guarantees, and
-        # every guarantee is one declared action — so stability of the
-        # invariant under the rely decomposes into inductiveness under
-        # each action alone, over every state full interference can
-        # reach (the explored VC certifies that set is complete).
-        sub = SpecStateMachine(
-            name=f"{machine.name}-{action}",
-            init_states=machine.init_states,
-            transitions=[machine.transition(action)],
-            invariants=machine.invariants,
-        )
-        return check_inductive(sub, result.states, invariant)
-
-    return VC(
-        name=f"rg-stable-{invariant.replace('_', '-')}-under-{action}",
-        category="rg",
-        check=check,
-        description=f"{model} invariant {invariant} is stable under an "
-                    f"interfering thread's '{action}' guarantee",
-    )
 
 
 # -- vacuity: hand-broken states must be flagged ------------------------------
@@ -161,25 +101,8 @@ def _broken_vspace_states():
     }
 
 
-def _spec_vacuity_vc(model: str) -> VC:
-    def check():
-        broken = (_broken_pmem_states() if model == "pmem"
-                  else _broken_vspace_states())
-        invariants = dict(rs.PMEM_INVARIANTS if model == "pmem"
-                          else rs.VSPACE_INVARIANTS)
-        for name, state in broken.items():
-            if invariants[name](state):
-                return ("broken state not flagged", name, state)
-        return None
-
-    return VC(
-        name=f"rg-spec-detects-violations-{model}",
-        category="rg",
-        check=check,
-        description=f"hand-broken {model} states (leaked frames, stale "
-                    f"TLBs, zombie replicas, ...) are flagged — the "
-                    f"invariants are not vacuous",
-    )
+#: model name -> its hand-broken states, one per invariant.
+_BROKEN = {"pmem": _broken_pmem_states, "vspace": _broken_vspace_states}
 
 
 # -- conformance: the real allocator and vspace under seeded traces -----------
@@ -295,7 +218,11 @@ def _impl_vspace_shootdown_vc() -> VC:
 
 
 def _repo_root() -> pathlib.Path:
-    return pathlib.Path(__file__).resolve().parents[3]
+    """The tree the static VCs scan — looked up on every check, so a
+    caller may rebind it (e.g. to a relative root)."""
+    from repro.analysis.cli import repo_root
+
+    return repo_root()
 
 
 def _static_interference_vc() -> VC:
@@ -353,16 +280,33 @@ def _static_lockorder_vc() -> VC:
 
 def rg_vcs() -> list[VC]:
     """The rely-guarantee VC family (group ``rg``)."""
-    cache = _RgModelCache()
     vcs = []
-    for model, builder, invariants in rs.MODELS:
-        vcs.append(_spec_explored_vc(cache, model))
+    for name, builder, invariants in rs.MODELS:
+        model = FiniteModel(builder, "rg", MAX_STATES)
+        vcs.append(model.explored_vc(
+            f"rg-spec-explored-{name}",
+            f"bounded exploration covers the finite {name} interference "
+            f"model with every invariant holding"))
+        # The rely is the union of the other threads' guarantees, and
+        # every guarantee is one declared action — so stability of an
+        # invariant under the rely decomposes into inductiveness under
+        # each action alone, over every state full interference can
+        # reach (the explored VC certifies that set is complete).
         actions = [t.name for t in builder().transitions]
         for invariant in invariants:
             for action in actions:
-                vcs.append(_stability_vc(cache, model, invariant,
-                                         action))
-        vcs.append(_spec_vacuity_vc(model))
+                vcs.append(model.inductive_vc(
+                    invariant,
+                    f"rg-stable-{invariant.replace('_', '-')}"
+                    f"-under-{action}",
+                    f"{name} invariant {invariant} is stable under an "
+                    f"interfering thread's '{action}' guarantee",
+                    action=action))
+        vcs.append(model.vacuity_vc(
+            _BROKEN[name], f"rg-spec-detects-violations-{name}",
+            f"hand-broken {name} states (leaked frames, stale TLBs, "
+            f"zombie replicas, ...) each violate their own invariant — "
+            f"none is vacuous"))
     vcs.append(_impl_pmem_trace_vc())
     vcs.append(_impl_vspace_shootdown_vc())
     vcs.append(_static_interference_vc())

@@ -9,9 +9,11 @@ Three families, all discharged through the existing prover scheduler
   every invariant holds in every state, and each invariant is
   *inductive*: checked over the reachable states plus perturbed
   variants that satisfy the invariant but were never visited.  A
-  vacuity VC hand-builds broken states (double-queued thread, stale
-  weight cache, blown spread, RT waiting behind fair) and demands the
-  invariants flag them;
+  vacuity VC hand-builds one broken state per invariant (double-queued
+  thread, stale weight cache, blown spread, RT waiting behind fair,
+  ...) and demands each violates its own invariant.  The exploration
+  and these three factories are the shared
+  :class:`~repro.verif.explore.FiniteModel` scaffold;
 * **conformance obligations** — seeded operation traces drive the real
   :class:`~repro.nros.sched.scheduler.Scheduler` and check
   :meth:`audit` (the runtime mirror of the spec invariants) after
@@ -33,7 +35,7 @@ import random
 from dataclasses import replace
 
 from repro.verif import schedspec as ss
-from repro.verif.explore import check_inductive, reachable_states
+from repro.verif.explore import FiniteModel
 from repro.verif.vc import VC
 
 #: Exploration cap — comfortably above the measured reachable-space
@@ -46,26 +48,11 @@ _TRACE_SEEDS = (1, 2, 3)
 _TRACE_OPS = 160
 
 
-class _SchedSpecCache:
-    """Explore once, share the reachable set across the VC family."""
-
-    def __init__(self) -> None:
-        self._result = None
-
-    def result(self):
-        if self._result is None:
-            machine = ss.sched_machine()
-            self._result = (machine,
-                            reachable_states(machine,
-                                             max_states=MAX_STATES))
-        return self._result
-
-
 def _perturbed_states(states, limit: int = 400):
     """Variants of reachable states that bounded exploration never
     visits: bumped vruntimes and RT streaks, re-canonicalized so the
-    representation stays consistent.  ``check_inductive`` filters to
-    the ones satisfying the invariant under test."""
+    representation stays consistent.  The inductive VCs keep only the
+    ones satisfying every invariant."""
     rng = random.Random(20_260_808)
     sample = states[::max(1, len(states) // limit)]
     variants = []
@@ -90,49 +77,9 @@ def _perturbed_states(states, limit: int = 400):
     return variants
 
 
-def _spec_explored_vc(cache: _SchedSpecCache) -> VC:
-    def check():
-        _machine, result = cache.result()
-        if result.truncated:
-            return ("state space exceeded the exploration cap",
-                    MAX_STATES)
-        if not result.ok:
-            name, state, trace = result.violation
-            return (name, trace, state)
-        return None
-
-    return VC(
-        name="sched-spec-explored",
-        category="scheduler",
-        check=check,
-        description="bounded exploration covers the finite scheduler "
-                    "state space with every invariant holding",
-    )
-
-
-def _spec_inductive_vc(cache: _SchedSpecCache, invariant: str) -> VC:
-    def check():
-        machine, result = cache.result()
-        # Induction is relative to the invariant *conjunction* (the
-        # usual strengthening): perturbed states that already violate a
-        # sibling invariant are unreachable noise, not counterexamples.
-        perturbed = [s for s in _perturbed_states(result.states)
-                     if machine.check_invariants(s) is None]
-        states = list(result.states) + perturbed
-        return check_inductive(machine, states, invariant)
-
-    return VC(
-        name=f"sched-spec-inductive-{invariant.replace('_', '-')}",
-        category="scheduler",
-        check=check,
-        description=f"scheduler invariant {invariant} is inductive "
-                    f"over reachable + perturbed states",
-    )
-
-
 def _broken_states():
-    """Hand-built invariant violations (one per invariant) for the
-    vacuity guard."""
+    """Hand-built invariant violations, one per invariant, each
+    violating the invariant it is filed under (the vacuity guard)."""
     base = ss.smp_config()
     t1 = ss.thread_by_tid(base, 1)
     # tid 1 queued on both cores
@@ -158,31 +105,28 @@ def _broken_states():
                       ready_counts=(base.ready_counts[0] - 1,
                                     base.ready_counts[1]),
                       rt_streak=(1, 0))
+    # a lone fair thread whose vruntime escaped the renormalized window
+    escaped = replace(base, threads=tuple(
+        replace(t, vruntime=ss.SPREAD_LIMIT + ss.QUANTUM * ss.MAX_WEIGHT
+                + ss.BONUS + 1) if t.tid == 4 else t
+        for t in base.threads))
+    # a running fair thread pulled ahead of its core's queued minimum
+    ahead = ss.canonical(replace(base, threads=tuple(
+        replace(t, state=ss.RUNNING, vruntime=ss.BONUS + 1)
+        if t.tid == 2 else t for t in base.threads)))
+    # a blocked fair thread parked above the spread window
+    parked = ss.canonical(replace(base, threads=tuple(
+        replace(t, state=ss.BLOCKED, vruntime=ss.SPREAD_LIMIT + 1)
+        if t.tid == 2 else t for t in base.threads)))
     return {
         "one_place": double,
         "weight_sums": stale,
         "spread_bounded": lapped,
+        "vruntime_bounded": escaped,
         "rt_first": rt_wait,
+        "running_lag": ahead,
+        "blocked_bounded": parked,
     }
-
-
-def _spec_vacuity_vc() -> VC:
-    def check():
-        machine = ss.sched_machine()
-        for expected, state in _broken_states().items():
-            violated = machine.check_invariants(state)
-            if violated is None:
-                return ("broken state not flagged", expected)
-        return None
-
-    return VC(
-        name="sched-spec-detects-violations",
-        category="scheduler",
-        check=check,
-        description="hand-broken states (double-queue, stale caches, "
-                    "blown spread, RT behind fair) are flagged — the "
-                    "invariants are not vacuous",
-    )
 
 
 # -- conformance: the real Scheduler under seeded op traces -------------------
@@ -444,11 +388,23 @@ def _impl_forget_vc() -> VC:
 
 def scheduler_vcs() -> list[VC]:
     """The scheduler VC family (group ``scheduler``)."""
-    cache = _SchedSpecCache()
-    vcs = [_spec_explored_vc(cache)]
+    model = FiniteModel(ss.sched_machine, "scheduler", MAX_STATES)
+    vcs = [model.explored_vc(
+        "sched-spec-explored",
+        "bounded exploration covers the finite scheduler state space "
+        "with every invariant holding")]
     for invariant in ss.INVARIANTS:
-        vcs.append(_spec_inductive_vc(cache, invariant))
-    vcs.append(_spec_vacuity_vc())
+        vcs.append(model.inductive_vc(
+            invariant,
+            f"sched-spec-inductive-{invariant.replace('_', '-')}",
+            f"scheduler invariant {invariant} is inductive over "
+            f"reachable + perturbed states",
+            extra_states=_perturbed_states))
+    vcs.append(model.vacuity_vc(
+        _broken_states, "sched-spec-detects-violations",
+        "hand-broken states (double-queue, stale caches, blown spread, "
+        "escaped vruntime, RT behind fair, running lag, parked sleeper) "
+        "each violate their own invariant — none is vacuous"))
     vcs.append(_impl_trace_vc())
     vcs.append(_impl_pick_policy_vc())
     vcs.append(_impl_starvation_vc())

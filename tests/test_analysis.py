@@ -38,6 +38,18 @@ def test_every_file_under_src_repro_is_classified():
         f"directory prefix) for each of: " + ", ".join(unmapped))
 
 
+def test_discover_sources_works_under_a_hidden_directory(tmp_path):
+    """Only hidden components *below* the root are skipped: a checkout
+    under e.g. ``~/.work/repo`` is analyzed like any other."""
+    root = tmp_path / ".hidden" / "repo"
+    package = root / "src" / "repro"
+    (package / ".cache").mkdir(parents=True)
+    (package / "mod.py").write_text("x = 1\n", encoding="utf-8")
+    (package / ".cache" / "stale.py").write_text("y = 2\n",
+                                                 encoding="utf-8")
+    assert discover_sources(root) == {"src/repro/mod.py": "x = 1\n"}
+
+
 def test_prefix_match_respects_path_components():
     layer_map = [("foo/bar", "spec"), ("foo", "exec")]
     assert classify_layer("foo/bar/mod.py", layer_map) == "spec"
@@ -284,6 +296,29 @@ def test_cli_stable_exit_codes():
                             "--skip", "race").returncode == 1
     assert _run_analyze_cli("--skip", "bogus").returncode == 2
     assert _run_analyze_cli("--mutant", "no-such-mutant").returncode == 2
+
+
+def test_every_registered_mutant_is_flagged():
+    """The single registry drives analyze: each mutant, whatever its
+    kind, reaches the pass that must flag it."""
+    from repro.analysis.mutants import MUTANTS
+
+    for name in MUTANTS:
+        report = run_analysis(skip={"layering", "purity", "deadsupp"},
+                              seeds=[0], mutant=name)
+        assert not report.clean, f"mutant {name} was not flagged"
+    assert {m.kind for m in MUTANTS.values()} == {"nr", "sched", "rg"}
+
+
+def test_unknown_mutant_exits_2_whatever_is_skipped():
+    """The mutant is looked up before any pass runs: skipping the passes
+    that would use it must not turn a misspelt name into a clean run."""
+    for skip in ("layering,purity,race,deadsupp,lockorder",
+                 ",".join(PASSES)):
+        proc = _run_analyze_cli("--skip", skip, "--mutant",
+                                "no-such-mutant")
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "no-such-mutant" in proc.stderr
 
 
 def test_cli_exits_nonzero_on_fixture():

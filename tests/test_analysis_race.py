@@ -134,6 +134,9 @@ def test_detection_is_deterministic():
 
 
 def test_every_registered_mutant_is_caught():
-    for name, cls in MUTANTS.items():
-        report = detect_races(SEEDS, nr_factory=_mutant_factory(cls))
+    for name, mutant in MUTANTS.items():
+        if mutant.kind != "nr":
+            continue
+        report = detect_races(SEEDS,
+                              nr_factory=_mutant_factory(mutant.target))
         assert report.races, f"mutant {name!r} was not detected"

@@ -5,8 +5,8 @@ dispatching sched mutants to the sched replay."""
 import pytest
 
 from repro.analysis.cli import run_analysis
+from repro.analysis.mutants import MUTANTS
 from repro.analysis.sched_race import (
-    SCHED_MUTANTS,
     DoubleEnqueueProtocol,
     StealLockElisionProtocol,
     detect_sched_races,
@@ -60,7 +60,7 @@ def test_double_enqueue_flagged_at_every_seed(seed):
 
 
 def test_mutant_detection_is_deterministic():
-    for cls in SCHED_MUTANTS.values():
+    for cls in [m.target for m in MUTANTS.values() if m.kind == "sched"]:
         first = detect_sched_races(SEEDS, protocol_cls=cls)
         second = detect_sched_races(SEEDS, protocol_cls=cls)
         assert len(first.races) == len(second.races)

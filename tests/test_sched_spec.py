@@ -58,10 +58,27 @@ def test_transitions_preserve_canonical_form(explored):
 
 
 def test_broken_states_are_flagged():
-    machine = ss.sched_machine()
-    for expected, state in _broken_states().items():
-        assert machine.check_invariants(state) is not None, \
-            f"hand-broken state for {expected} not flagged"
+    broken = _broken_states()
+    assert set(broken) == set(ss.INVARIANTS), \
+        "every invariant needs a hand-broken witness"
+    for expected, state in broken.items():
+        assert not ss.INVARIANTS[expected](state), \
+            f"hand-broken state for {expected} does not violate it"
+
+
+def test_vacuity_vc_requires_a_witness_per_invariant():
+    from repro.verif.explore import FiniteModel
+
+    model = FiniteModel(ss.sched_machine, "scheduler", MAX_STATES)
+    partial = dict(_broken_states())
+    del partial["running_lag"]
+    vc = model.vacuity_vc(lambda: partial, "partial", "")
+    assert vc.check() == ("invariant has no broken witness",
+                          "running_lag")
+    misfiled = dict(_broken_states())
+    misfiled["running_lag"] = misfiled["blocked_bounded"]
+    vc = model.vacuity_vc(lambda: misfiled, "misfiled", "")
+    assert vc.check()[:2] == ("broken state not flagged", "running_lag")
 
 
 def test_rt_streak_violation_flagged():
