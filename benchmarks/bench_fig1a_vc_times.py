@@ -143,7 +143,6 @@ def test_fig1a_warm_cache_reverification(benchmark, proof_report,
     })
     assert warm.all_proved
     assert warm.total == cold.total
-    assert hit_rate >= 0.9, f"warm-cache hit rate {hit_rate:.0%} < 90%"
     # Determinism: the warm report is bit-identical to the cold one.
     assert [r.key() for r in warm.results] == \
         [r.key() for r in cold.results]

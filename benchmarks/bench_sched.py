@@ -8,9 +8,10 @@ from 1 to 4 cores (the batch pool saturates every added core),
 interactive wake-to-run p99 must drop as cores are added, and the
 one-core fairness run must track the nice-weight ideal within 5%.
 
-Everything is simulated time under a seed, so the emitted numbers are
-deterministic and CI compares them against the committed
-``benchmarks/baseline_sched.json``.
+These bounds are rows and rules of ``check_bench_json.py``'s gate table,
+checked before ``BENCH_sched.json`` is written.  Everything is simulated
+time under a seed, so the emitted numbers are deterministic and CI
+compares them against the committed ``benchmarks/baseline_sched.json``.
 """
 
 import pytest
@@ -55,30 +56,12 @@ def test_sched_core_scaling(benchmark, capsys):
 
     for count in SCALE_CORE_COUNTS:
         entry = payload["series"][str(count)]
-        assert entry["quanta"] > 0
         benchmark.extra_info[f"tput_{count}"] = round(
             entry["throughput_qps"])
         benchmark.extra_info[f"inter_p99_ns_{count}"] = \
             entry["interactive"]["p99_ns"]
-
-    # the scaling story: every added core up to 4 runs more batch work
-    # in the same simulated time
-    series = payload["series"]
-    assert series["2"]["throughput_qps"] >= series["1"]["throughput_qps"]
-    assert series["4"]["throughput_qps"] >= series["2"]["throughput_qps"]
-
-    # interactive latency: more cores means a woken thread waits less
-    assert series["4"]["interactive"]["p99_ns"] <= \
-        series["1"]["interactive"]["p99_ns"]
-
-    # cross-core balancing actually happened once there were cores to
-    # balance across
-    assert series["2"]["migrations"] + series["2"]["steals"] > 0
-
-    # weighted fairness within 5% of the nice-weight ideal
-    fairness = payload["fairness"]
-    assert fairness["max_rel_error"] <= 0.05
-    benchmark.extra_info["fairness_error"] = fairness["max_rel_error"]
+    benchmark.extra_info["fairness_error"] = \
+        payload["fairness"]["max_rel_error"]
 
     path = write_bench_json("sched", payload)
     report_lines(capsys, "Scheduler: core scaling, mixed workload",

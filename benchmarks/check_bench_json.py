@@ -1,23 +1,28 @@
-"""Validate a ``BENCH_*.json`` result file and guard against solver
-regressions.
+"""Validate a ``BENCH_*.json`` result file against its gate table.
 
 Usage::
 
     python benchmarks/check_bench_json.py BENCH_fig1a.json \
         [--baseline benchmarks/baseline_fig1a.json]
 
-Two checks:
+Every bound a benchmark must meet is one row of ``GATES[bench]``: a
+field path (``*`` ranges over the keys present at that level, and
+``a+b`` sums two fields) and one gate kind:
 
-* **schema** — the file must carry the expected ``schema_version`` and the
-  per-benchmark required keys with the right types (a benchmark refactor
-  that silently stops emitting a field fails CI here);
-* **baseline** (fig1a only, when ``--baseline`` is given) — the
-  *deterministic* solver counters are compared against the committed
-  baseline: the number of goals settled without CDCL search
-  (``decided_structurally`` + ``decided_by_preprocessing``) must not drop
-  below half the baseline, and ``sat_conflicts`` must not exceed twice the
-  baseline.  Wall-clock is deliberately not compared — CI machines vary;
-  the counters do not.
+* ``num`` — present, int or float, not bool; ``type`` — an instance of
+  the given type (bool only when the type is bool);
+* ``zero``, ``true``, ``floor``, ``ceiling`` — fixed bounds;
+* ``exact``, ``shrink``, ``grow`` — against the baseline, when one is
+  given: equal, not below ``1/factor`` of it, not above ``factor`` times
+  it.  Every baseline row is also a ``num`` row.
+
+Relations spanning several fields are the named rules of
+``RULES[bench]``: a scope path, a name, and a predicate checked at
+every path the scope names, once every row holds.  Baseline rows
+compare only the keys the baseline has, and are skipped when the
+baseline records a different ``quick`` flag (the populations differ).
+Wall-clock only ever meets a ``shrink``/``grow`` collapse gate;
+deterministic counters are gated exactly or by fixed bounds.
 
 Exit status 0 on success, 1 with a diagnostic on any failure.
 """
@@ -30,400 +35,275 @@ import sys
 
 EXPECTED_SCHEMA_VERSION = 1
 
-_TIMING_KEYS = ("p50_seconds", "p99_seconds", "total_seconds",
-                "wall_seconds")
+NUM, TYPE, ZERO, TRUE, FLOOR, CEILING = (
+    "num", "type", "zero", "true", "floor", "ceiling")
+EXACT, SHRINK, GROW = "exact", "shrink", "grow"
 
-#: Required top-level keys (and types) per benchmark name.
-SCHEMAS: dict[str, dict[str, type | tuple]] = {
-    "fig1a": {
-        "quick": bool,
-        "total_vcs": int,
-        "cold": dict,
-        "warm": dict,
-        "cache_hit_rate": (int, float),
-        "solver_counters": dict,
-    },
-    "fig1b": {"impl_cost_ratio": (int, float), "series": dict,
-              "vspace_obs": dict},
-    "fig1c": {"impl_cost_ratio": (int, float), "series": dict,
-              "vspace_obs": dict},
-    "cluster": {"quick": bool, "seed": int, "profile": dict,
-                "series": dict, "recovery": dict},
-    "sched": {"quick": bool, "seed": int, "profile": dict,
-              "series": dict, "fairness": dict},
-    "ring": {"quick": bool, "iters": int, "batch": int, "pt_batch": int,
-             "proc_counts": list, "series": dict, "speedup": dict,
-             "ring_obs": dict},
+_MISSING = object()
+
+
+class GateFailure(AssertionError):
+    """One or more gates failed; the message lists each."""
+
+
+def _is_num(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+#: kind -> (holds(value, arg), what a failing value should have been)
+_FIXED = {
+    NUM: (lambda v, _: _is_num(v), "numeric"),
+    TYPE: (lambda v, t: isinstance(v, t) and (
+        t is bool or not isinstance(v, bool)), "of type {.__name__}"),
+    ZERO: (lambda v, _: _is_num(v) and v == 0, "0"),
+    TRUE: (lambda v, _: v is True, "true"),
+    FLOOR: (lambda v, lo: _is_num(v) and v >= lo, ">= {}"),
+    CEILING: (lambda v, hi: _is_num(v) and v <= hi, "<= {}"),
 }
 
-#: Required keys of every per-node-count entry of the cluster series.
-_CLUSTER_ENTRY_KEYS = ("nodes", "rf", "issued", "acked", "failed",
-                       "undrained", "lost_acked_writes", "ryw_violations",
-                       "sim_ns", "throughput_ops_per_s")
+#: kind -> (holds(now, baseline, factor), how the value drifted)
+_AGAINST_BASELINE = {
+    EXACT: (lambda now, then, _: now == then, "drifted from"),
+    SHRINK: (lambda now, then, f: now * f >= then,
+             "collapsed more than {}x below"),
+    GROW: (lambda now, then, f: now <= f * max(then, 1),
+           "regressed more than {}x above"),
+}
 
-#: Required numeric keys of the cluster recovery entry (the kill+restart
-#: measurement: WAL replay, time-to-serving, time-to-restore-RF).
-_CLUSTER_RECOVERY_KEYS = ("acked", "gaveup", "undrained",
-                          "lost_acked_writes", "ryw_violations",
-                          "fsck_issues", "replayed_records",
-                          "recovered_keys", "recovery_ticks",
-                          "rf_restore_ticks")
+_TIMING = ("p50_seconds", "p99_seconds", "total_seconds", "wall_seconds")
+_FIG1 = [
+    ("impl_cost_ratio", NUM),
+    *[(f"series.*.{key}", NUM) for key in (
+        "unverified_mean_us", "verified_mean_us", "verified_p99_us")],
+    *[(f"vspace_obs.{key}", NUM) for key in (
+        "pages", "batch", "shootdown_rounds", "shootdown_pages",
+        "batch_pages_recorded")],
+    ("vspace_obs.mapped_pages_gauge_delta", ZERO),
+]
+_SEEDED = [("quick", TYPE, bool), ("seed", TYPE, int), ("profile", TYPE, dict)]
+_MODES = ("single", "batched")
 
-#: Required numeric keys of every per-core-count entry of the sched
-#: series (workload metrics + the scheduler's own counters).
-_SCHED_ENTRY_KEYS = ("cores", "ticks", "quanta", "sim_ns",
-                     "throughput_qps", "context_switches", "migrations",
-                     "steals", "preemptions", "rt_throttles")
+GATES: dict[str, list[tuple]] = {
+    "fig1a": [
+        ("quick", TYPE, bool),
+        ("total_vcs", TYPE, int),
+        *[(f"{block}.{key}", NUM)
+          for block in ("cold", "warm") for key in _TIMING],
+        ("cache_hit_rate", FLOOR, 0.9),
+        ("solver_counters.decided_structurally"
+         "+solver_counters.decided_by_preprocessing", SHRINK, 2),
+        ("solver_counters.sat_conflicts", GROW, 2),
+    ],
+    "fig1b": _FIG1,
+    "fig1c": _FIG1,
+    "cluster": [
+        *_SEEDED,
+        *[(f"series.*.{key}", NUM) for key in (
+            "nodes", "rf", "issued", "failed", "sim_ns",
+            "throughput_ops_per_s")],
+        ("series.*.acked", SHRINK, 2),
+        *[(f"series.*.{key}", ZERO)
+          for key in ("lost_acked_writes", "ryw_violations", "undrained")],
+        *[(f"series.*.{op}.{key}", NUM)
+          for op in ("put", "get") for key in ("count", "p50_ns")],
+        *[(f"series.*.{op}.p99_ns", GROW, 4) for op in ("put", "get")],
+        *[(f"recovery.{key}", NUM)
+          for key in ("acked", "gaveup", "recovered_keys")],
+        *[(f"recovery.{key}", ZERO) for key in (
+            "lost_acked_writes", "ryw_violations", "undrained",
+            "fsck_issues")],
+        ("recovery.serving", TRUE),
+        ("recovery.replayed_records", FLOOR, 1),
+        *[(f"recovery.{key}", rule, arg)
+          for key in ("recovery_ticks", "rf_restore_ticks")
+          for rule, arg in ((FLOOR, 0), (GROW, 4))],
+    ],
+    "sched": [
+        *_SEEDED,
+        *[(f"series.*.{key}", NUM) for key in (
+            "cores", "ticks", "sim_ns", "context_switches", "migrations",
+            "steals", "preemptions", "rt_throttles")],
+        ("series.*.quanta", FLOOR, 1),
+        ("series.*.throughput_qps", SHRINK, 2),
+        *[(f"series.*.{kind}.{key}", NUM)
+          for kind in ("interactive", "rt") for key in ("count", "p50_ns")],
+        ("series.*.interactive.p99_ns", GROW, 4),
+        ("series.*.rt.p99_ns", NUM),
+        ("fairness.max_rel_error", CEILING, 0.05),
+    ],
+    "ring": [
+        ("quick", TYPE, bool),
+        *[(key, TYPE, int) for key in ("iters", "batch", "pt_batch")],
+        ("proc_counts", TYPE, list),
+        ("ring_obs", TYPE, dict),
+        *[(f"series.*.*.{mode}.{key}", NUM) for mode in _MODES for key in (
+            "procs", "wall_seconds", "p50_s", "p99_s",
+            "shootdown_rounds_obs")],
+        *[(f"series.*.*.{mode}.{key}", EXACT) for mode in _MODES for key in (
+            "ops", "ring_batches", "ring_sqes", "shootdown_rounds")],
+        *[(f"series.*.*.{mode}.ops_per_s", SHRINK, 2) for mode in _MODES],
+        ("series.*.*.single.ring_sqes", ZERO),
+        # the headline: batched pt dispatch beats trap-per-call 3x at the
+        # highest process count (8 in both the quick and the full run)
+        ("speedup.pt.8", FLOOR, 3.0),
+    ],
+}
 
-#: The fairness gate: achieved CPU shares must track the nice-weight
-#: ideal within this relative error on every run.
-_SCHED_FAIRNESS_LIMIT = 0.05
 
-#: Required numeric keys of every (workload, procs, mode) ring cell.
-_RING_CELL_KEYS = ("procs", "ops", "wall_seconds", "ops_per_s", "p50_s",
-                   "p99_s", "ring_batches", "ring_sqes",
-                   "shootdown_rounds", "shootdown_rounds_obs")
-
-#: Ring deterministic counters compared exactly against the baseline.
-_RING_COUNT_KEYS = ("ops", "ring_batches", "ring_sqes", "shootdown_rounds")
-
-#: The headline ring gate: batched pt dispatch must beat trap-per-call
-#: by this factor at the highest process count.
-_RING_SPEEDUP_FLOOR = 3.0
+def _rising(values) -> bool:
+    return all(low < high for low, high in zip(values, values[1:]))
 
 
-def _fail(message: str) -> None:
-    print(f"check_bench_json: FAIL: {message}")
-    raise SystemExit(1)
+#: Relations that span fields, per bench: (scope path, name, holds(node,
+#: document)), checked at every concrete path the scope names once every
+#: row holds.
+_FIG1_RULES = [
+    ("vspace_obs", "shootdown_rounds x batch == pages",
+     lambda p, _: p["shootdown_rounds"] * p["batch"] == p["pages"]),
+    ("vspace_obs", "shootdown_pages == pages",
+     lambda p, _: p["shootdown_pages"] == p["pages"]),
+    ("vspace_obs", "batch_pages_recorded x batch == 2 x pages",
+     lambda p, _: p["batch_pages_recorded"] * p["batch"] == 2 * p["pages"]),
+    ("series", "unverified mean latency rising with cores",
+     lambda s, _: _rising([s[k]["unverified_mean_us"]
+                           for k in sorted(s, key=int)])),
+    ("series.*", "verified mean within 60% of unverified",
+     lambda e, _: abs(e["verified_mean_us"] - e["unverified_mean_us"])
+     < 0.6 * e["unverified_mean_us"]),
+]
+
+RULES: dict[str, list[tuple]] = {
+    "fig1a": [],
+    "fig1b": _FIG1_RULES,
+    "fig1c": _FIG1_RULES,
+    "cluster": [
+        ("series.*", "acked == issued",
+         lambda e, _: e["acked"] == e["issued"]),
+        ("series", "1-node get p50 > 3 x 3-node get p50",
+         lambda s, _: s["1"]["get"]["p50_ns"] > 3 * s["3"]["get"]["p50_ns"]),
+    ],
+    "sched": [
+        ("series", "throughput monotone over 1, 2, 4 cores",
+         lambda s, _: s["1"]["throughput_qps"] <= s["2"]["throughput_qps"]
+         <= s["4"]["throughput_qps"]),
+        ("series", "interactive p99 at 4 cores <= at 1 core",
+         lambda s, _: s["4"]["interactive"]["p99_ns"]
+         <= s["1"]["interactive"]["p99_ns"]),
+        ("series.2", "migrations + steals > 0",
+         lambda e, _: e["migrations"] + e["steals"] > 0),
+    ],
+    "ring": [
+        ("series.*.*.*", "ops == procs x iters",
+         lambda m, doc: m["ops"] == m["procs"] * doc["iters"]),
+        ("series.*.*.*", "vspace and obs shootdown rounds agree",
+         lambda m, _: m["shootdown_rounds"] == m["shootdown_rounds_obs"]),
+        # one shootdown round per page single, per pt_batch pages batched
+        ("series.pt.*.single", "shootdown_rounds == ops",
+         lambda m, _: m["shootdown_rounds"] == m["ops"]),
+        ("series.pt.*.batched", "shootdown_rounds x pt_batch == ops",
+         lambda m, doc: m["shootdown_rounds"] * doc["pt_batch"] == m["ops"]),
+        # every batched op rides an SQE; pt: a map and an unmap SQE per
+        # pt_batch pages
+        *[(f"series.{kind}.*.batched", "ring_sqes == ops",
+           lambda m, _: m["ring_sqes"] == m["ops"]) for kind in ("fs", "net")],
+        ("series.pt.*.batched", "ring_sqes x pt_batch == 2 x ops",
+         lambda m, doc: m["ring_sqes"] * doc["pt_batch"] == 2 * m["ops"]),
+    ],
+}
 
 
-def validate_schema(document: dict) -> None:
-    if document.get("schema_version") != EXPECTED_SCHEMA_VERSION:
-        _fail(f"schema_version {document.get('schema_version')!r} != "
-              f"{EXPECTED_SCHEMA_VERSION}")
+# -- the table walk -----------------------------------------------------------
+
+def _lookup(doc, path):
+    if "+" in path:
+        parts = [_lookup(doc, part) for part in path.split("+")]
+        return sum(parts) if all(map(_is_num, parts)) else _MISSING
+    node = doc
+    for key in path.split("."):
+        if not isinstance(node, dict) or key not in node:
+            return _MISSING
+        node = node[key]
+    return node
+
+
+def _paths(doc, path):
+    """The concrete paths a row names in ``doc``: each ``*`` ranges over
+    the keys present there.  A missing or empty level keeps its ``*``, so
+    looking the path up reports it missing."""
+    head, star, tail = path.partition("*")
+    node = _lookup(doc, head.rstrip(".")) if star else None
+    if not isinstance(node, dict) or not node:
+        return [path]
+    return [concrete for key in sorted(node, key=lambda k: (len(k), k))
+            for concrete in _paths(doc, f"{head}{key}{tail}")]
+
+
+def _row_failures(document, bench):
+    for path, kind, *arg in GATES[bench]:
+        holds, want = _FIXED.get(kind, _FIXED[NUM])
+        arg = arg[0] if arg else None
+        for name in _paths(document, path):
+            value = _lookup(document, name)
+            if not holds(value, arg):
+                shown = "missing" if value is _MISSING else repr(value)
+                yield f"{name} = {shown}, want {want.format(arg)}"
+
+
+def _rule_failures(document, bench):
+    for scope, name, holds in RULES[bench]:
+        for where in _paths(document, scope):
+            try:
+                ok = holds(_lookup(document, where), document)
+            except (LookupError, TypeError):
+                ok = False
+            if not ok:
+                yield f"{where}: want {name}"
+
+
+def _baseline_failures(document, baseline, bench, lines):
+    for path, kind, *arg in GATES[bench]:
+        if kind not in _AGAINST_BASELINE:
+            continue
+        holds, drift = _AGAINST_BASELINE[kind]
+        factor = arg[0] if arg else None
+        for name in _paths(baseline, path):
+            now, then = _lookup(document, name), _lookup(baseline, name)
+            if not _is_num(then):
+                continue  # the baseline does not record this field
+            if now is _MISSING:
+                yield f"baseline field {name} missing from run"
+                continue
+            if kind != EXACT:
+                lines.append(f"{name}: {now:.10g} (baseline {then:.10g})")
+            if not holds(now, then, factor):
+                yield (f"{name} = {now:.10g} {drift.format(factor)} baseline "
+                       f"{then:.10g}")
+
+
+def check(document: dict, baseline: dict | None = None) -> list[str]:
+    """Walk ``document``'s gate rows, then its cross-field rules, then,
+    given a ``baseline``, its baseline rows.  Returns the baseline report
+    lines; raises :class:`GateFailure` listing every violated gate."""
+    version = document.get("schema_version")
+    if type(version) is not int or version != EXPECTED_SCHEMA_VERSION:
+        raise GateFailure(f"schema_version {version!r} != "
+                          f"{EXPECTED_SCHEMA_VERSION}")
     bench = document.get("bench")
-    if bench not in SCHEMAS:
-        _fail(f"unknown bench name {bench!r} (known: {sorted(SCHEMAS)})")
-    for key, expected_type in SCHEMAS[bench].items():
-        if key not in document:
-            _fail(f"{bench}: missing required key {key!r}")
-        if not isinstance(document[key], expected_type):
-            _fail(f"{bench}: key {key!r} has type "
-                  f"{type(document[key]).__name__}, expected "
-                  f"{expected_type}")
-    if bench == "fig1a":
-        for block in ("cold", "warm"):
-            for key in _TIMING_KEYS:
-                value = document[block].get(key)
-                if not isinstance(value, (int, float)):
-                    _fail(f"fig1a: {block}.{key} missing or non-numeric "
-                          f"({value!r})")
-    if bench in ("fig1b", "fig1c"):
-        # the real-VSpace probe riding along with the timed-model series:
-        # its obs deltas must tell the amortized-shootdown story exactly
-        probe = document["vspace_obs"]
-        for key in ("pages", "batch", "shootdown_rounds",
-                    "shootdown_pages", "mapped_pages_gauge_delta",
-                    "batch_pages_recorded"):
-            if not isinstance(probe.get(key), (int, float)):
-                _fail(f"{bench}: vspace_obs.{key} missing or non-numeric "
-                      f"({probe.get(key)!r})")
-        if probe["shootdown_rounds"] * probe["batch"] != probe["pages"]:
-            _fail(f"{bench}: vspace_obs paid {probe['shootdown_rounds']} "
-                  f"shootdown rounds for {probe['pages']} pages in "
-                  f"batches of {probe['batch']} (want one per batch)")
-        if probe["shootdown_pages"] != probe["pages"]:
-            _fail(f"{bench}: vspace_obs shot {probe['shootdown_pages']} "
-                  f"pages but unmapped {probe['pages']}")
-        if probe["mapped_pages_gauge_delta"] != 0:
-            _fail(f"{bench}: vspace_obs mapped_pages gauge drifted by "
-                  f"{probe['mapped_pages_gauge_delta']} (leaked mappings)")
-    if bench == "cluster":
-        if not document["series"]:
-            _fail("cluster: empty series")
-        for count, entry in sorted(document["series"].items()):
-            for key in _CLUSTER_ENTRY_KEYS:
-                if not isinstance(entry.get(key), (int, float)):
-                    _fail(f"cluster: series[{count}].{key} missing or "
-                          f"non-numeric ({entry.get(key)!r})")
-            for op in ("put", "get"):
-                for field in ("count", "p50_ns", "p99_ns"):
-                    if not isinstance(entry.get(op, {}).get(field),
-                                      (int, float)):
-                        _fail(f"cluster: series[{count}].{op}.{field} "
-                              f"missing or non-numeric")
-            # the contract gates are exact: an acknowledged write may
-            # never be lost, sessions keep read-your-writes, every
-            # request completes
-            for invariant in ("lost_acked_writes", "ryw_violations",
-                              "undrained"):
-                if entry[invariant] != 0:
-                    _fail(f"cluster: series[{count}].{invariant} = "
-                          f"{entry[invariant]} (must be 0)")
-        recovery = document["recovery"]
-        for key in _CLUSTER_RECOVERY_KEYS:
-            if not isinstance(recovery.get(key), (int, float)):
-                _fail(f"cluster: recovery.{key} missing or non-numeric "
-                      f"({recovery.get(key)!r})")
-        # kill+restart keeps the exact contract too, and the restarted
-        # node must actually have made it back
-        for invariant in ("lost_acked_writes", "ryw_violations",
-                          "undrained", "fsck_issues"):
-            if recovery[invariant] != 0:
-                _fail(f"cluster: recovery.{invariant} = "
-                      f"{recovery[invariant]} (must be 0)")
-        if not recovery.get("serving"):
-            _fail("cluster: recovery.serving is not true — the restarted "
-                  "node never returned to service")
-        for key in ("recovery_ticks", "rf_restore_ticks"):
-            if recovery[key] < 0:
-                _fail(f"cluster: recovery.{key} = {recovery[key]} "
-                      f"(recovery never completed)")
-    if bench == "sched":
-        if not document["series"]:
-            _fail("sched: empty series")
-        for count, entry in sorted(document["series"].items(),
-                                   key=lambda kv: int(kv[0])):
-            for key in _SCHED_ENTRY_KEYS:
-                if not isinstance(entry.get(key), (int, float)):
-                    _fail(f"sched: series[{count}].{key} missing or "
-                          f"non-numeric ({entry.get(key)!r})")
-            for kind in ("interactive", "rt"):
-                for field in ("count", "p50_ns", "p99_ns"):
-                    if not isinstance(entry.get(kind, {}).get(field),
-                                      (int, float)):
-                        _fail(f"sched: series[{count}].{kind}.{field} "
-                              f"missing or non-numeric")
-        # the core-scaling contract: throughput must be monotone from
-        # 1 to 4 cores (8 may flatten once the workload is saturated)
-        series = document["series"]
-        for lower, upper in (("1", "2"), ("2", "4")):
-            if lower in series and upper in series:
-                low = series[lower]["throughput_qps"]
-                high = series[upper]["throughput_qps"]
-                if high < low:
-                    _fail(f"sched: throughput not monotone: {upper} "
-                          f"cores {high:.0f} qps < {lower} cores "
-                          f"{low:.0f} qps")
-        fairness = document["fairness"]
-        error = fairness.get("max_rel_error")
-        if not isinstance(error, (int, float)):
-            _fail("sched: fairness.max_rel_error missing or non-numeric")
-        if error > _SCHED_FAIRNESS_LIMIT:
-            _fail(f"sched: fairness error {error:.4f} exceeds "
-                  f"{_SCHED_FAIRNESS_LIMIT}")
-    if bench == "ring":
-        series = document["series"]
-        if not series:
-            _fail("ring: empty series")
-        pt_batch = document["pt_batch"]
-        for kind, by_procs in sorted(series.items()):
-            for procs, cell in sorted(by_procs.items(), key=lambda kv:
-                                      int(kv[0])):
-                for mode in ("single", "batched"):
-                    entry = cell.get(mode)
-                    if entry is None:
-                        _fail(f"ring: series[{kind}][{procs}] missing "
-                              f"mode {mode!r}")
-                    for key in _RING_CELL_KEYS:
-                        if not isinstance(entry.get(key), (int, float)):
-                            _fail(f"ring: series[{kind}][{procs}]"
-                                  f".{mode}.{key} missing or non-numeric "
-                                  f"({entry.get(key)!r})")
-                    # the vspace attributes and the obs registry must
-                    # report the same shootdown story
-                    if entry["shootdown_rounds"] != \
-                            entry["shootdown_rounds_obs"]:
-                        _fail(f"ring: series[{kind}][{procs}].{mode} "
-                              f"shootdown accounting split: "
-                              f"{entry['shootdown_rounds']} vs obs "
-                              f"{entry['shootdown_rounds_obs']}")
-                # the single path never touches a ring; every batched op
-                # rode an SQE (pt: one map + one unmap SQE per pt_batch
-                # pages)
-                if cell["single"]["ring_sqes"] != 0:
-                    _fail(f"ring: series[{kind}][{procs}].single "
-                          f"dispatched {cell['single']['ring_sqes']} SQEs")
-                expected = (2 * cell["batched"]["ops"] // pt_batch
-                            if kind == "pt" else cell["batched"]["ops"])
-                if cell["batched"]["ring_sqes"] != expected:
-                    _fail(f"ring: series[{kind}][{procs}].batched "
-                          f"ring_sqes {cell['batched']['ring_sqes']} != "
-                          f"expected {expected}")
-        # the amortization contract: one shootdown round per page on the
-        # single path, one per pt_batch pages on the batched path
-        for procs, cell in series.get("pt", {}).items():
-            if cell["single"]["shootdown_rounds"] != cell["single"]["ops"]:
-                _fail(f"ring: pt single at {procs}p paid "
-                      f"{cell['single']['shootdown_rounds']} shootdown "
-                      f"rounds for {cell['single']['ops']} unmaps")
-            if cell["batched"]["shootdown_rounds"] != (
-                    cell["batched"]["ops"] // pt_batch):
-                _fail(f"ring: pt batched at {procs}p paid "
-                      f"{cell['batched']['shootdown_rounds']} shootdown "
-                      f"rounds, expected "
-                      f"{cell['batched']['ops'] // pt_batch}")
-        # the headline gate, re-checked on the artifact CI archives
-        max_procs = str(document["proc_counts"][-1])
-        speedup = document["speedup"].get("pt", {}).get(max_procs)
-        if not isinstance(speedup, (int, float)):
-            _fail(f"ring: speedup.pt[{max_procs}] missing")
-        if speedup < _RING_SPEEDUP_FLOOR:
-            _fail(f"ring: pt batched speedup {speedup:.2f} at "
-                  f"{max_procs} processes is below "
-                  f"{_RING_SPEEDUP_FLOOR}")
-
-
-def compare_cluster_to_baseline(document: dict,
-                                baseline: dict) -> list[str]:
-    """Cluster regression gates: the contract invariants are exact (and
-    already schema-checked); acked counts and latency percentiles get
-    loose factor gates so protocol tuning doesn't churn the baseline,
-    while a collapse (mass request failure, an order-of-magnitude
-    latency regression) still fails CI.  Counts are only compared when
-    the run and the baseline used the same population (``quick``)."""
-    lines = []
-    if document.get("quick") != baseline.get("quick"):
-        lines.append("quick flag differs from baseline; "
-                     "skipping count/latency gates")
-        return lines
-    for count in sorted(baseline.get("series", {})):
-        base = baseline["series"][count]
-        entry = document.get("series", {}).get(count)
-        if entry is None:
-            _fail(f"cluster: baseline node count {count} missing from run")
-        lines.append(
-            f"{count} nodes: acked {entry['acked']} "
-            f"(baseline {base['acked']}), get p99 "
-            f"{entry['get']['p99_ns']:.0f}ns "
-            f"(baseline {base['get']['p99_ns']:.0f}ns)")
-        if entry["acked"] * 2 < base["acked"]:
-            _fail(f"cluster: acked ops at {count} nodes collapsed: "
-                  f"{entry['acked']} vs baseline {base['acked']}")
-        for op in ("put", "get"):
-            now = entry[op]["p99_ns"]
-            then = base[op]["p99_ns"]
-            if now > 4 * max(then, 1):
-                _fail(f"cluster: {op} p99 at {count} nodes regressed "
-                      f"more than 4x: {now:.0f}ns vs baseline "
-                      f"{then:.0f}ns")
-    base_rec = baseline.get("recovery")
-    if base_rec is not None:
-        rec = document["recovery"]
-        for key in ("recovery_ticks", "rf_restore_ticks"):
-            now, then = rec[key], base_rec[key]
-            lines.append(f"recovery: {key} {now} (baseline {then})")
-            if now > 4 * max(then, 1):
-                _fail(f"cluster: recovery.{key} regressed more than 4x: "
-                      f"{now} vs baseline {then}")
-    return lines
-
-
-def compare_sched_to_baseline(document: dict,
-                              baseline: dict) -> list[str]:
-    """Sched regression gates: monotone scaling and fairness are exact
-    (schema-checked); per-core throughput and interactive p99 get loose
-    factor gates, comparable only when ``quick`` matches."""
-    lines = []
-    if document.get("quick") != baseline.get("quick"):
-        lines.append("quick flag differs from baseline; "
-                     "skipping throughput/latency gates")
-        return lines
-    for count in sorted(baseline.get("series", {}), key=int):
-        base = baseline["series"][count]
-        entry = document.get("series", {}).get(count)
-        if entry is None:
-            _fail(f"sched: baseline core count {count} missing from run")
-        lines.append(
-            f"{count} cores: {entry['throughput_qps']:.0f} qps "
-            f"(baseline {base['throughput_qps']:.0f}), interactive p99 "
-            f"{entry['interactive']['p99_ns']:.0f}ns "
-            f"(baseline {base['interactive']['p99_ns']:.0f}ns)")
-        if entry["throughput_qps"] * 2 < base["throughput_qps"]:
-            _fail(f"sched: throughput at {count} cores collapsed: "
-                  f"{entry['throughput_qps']:.0f} qps vs baseline "
-                  f"{base['throughput_qps']:.0f} qps")
-        now = entry["interactive"]["p99_ns"]
-        then = base["interactive"]["p99_ns"]
-        if now > 4 * max(then, 1):
-            _fail(f"sched: interactive p99 at {count} cores regressed "
-                  f"more than 4x: {now:.0f}ns vs baseline {then:.0f}ns")
-    base_err = baseline.get("fairness", {}).get("max_rel_error")
-    if base_err is not None:
-        err = document["fairness"]["max_rel_error"]
-        lines.append(f"fairness error: {err:.4f} (baseline {base_err:.4f})")
-    return lines
-
-
-def compare_ring_to_baseline(document: dict, baseline: dict) -> list[str]:
-    """Ring regression gates: operation counts (ops, batches, SQEs,
-    shootdown rounds) are deterministic and must match the baseline
-    exactly; throughput gets a collapse gate only (factor 2), since
-    wall-clock varies across CI machines.  Comparable only when
-    ``quick`` matches."""
-    lines = []
-    if document.get("quick") != baseline.get("quick"):
-        lines.append("quick flag differs from baseline; "
-                     "skipping count/throughput gates")
-        return lines
-    for kind in sorted(baseline.get("series", {})):
-        for procs in sorted(baseline["series"][kind], key=int):
-            base = baseline["series"][kind][procs]
-            cell = document.get("series", {}).get(kind, {}).get(procs)
-            if cell is None:
-                _fail(f"ring: baseline cell {kind}/{procs}p missing "
-                      f"from run")
-            for mode in ("single", "batched"):
-                for key in _RING_COUNT_KEYS:
-                    now = cell[mode][key]
-                    then = base[mode][key]
-                    if now != then:
-                        _fail(f"ring: {kind}/{procs}p/{mode}.{key} = "
-                              f"{now}, baseline {then} (deterministic "
-                              f"count drifted)")
-                if cell[mode]["ops_per_s"] * 2 < base[mode]["ops_per_s"]:
-                    _fail(f"ring: {kind}/{procs}p/{mode} throughput "
-                          f"collapsed: {cell[mode]['ops_per_s']:.0f} "
-                          f"op/s vs baseline "
-                          f"{base[mode]['ops_per_s']:.0f}")
-        max_procs = sorted(baseline["series"][kind], key=int)[-1]
-        lines.append(
-            f"{kind} at {max_procs}p: batched "
-            f"{document['series'][kind][max_procs]['batched']['ops_per_s']:.0f} op/s "
-            f"(baseline "
-            f"{baseline['series'][kind][max_procs]['batched']['ops_per_s']:.0f})")
-    return lines
-
-
-def compare_to_baseline(document: dict, baseline: dict) -> list[str]:
-    """Deterministic-counter regression gates; returns report lines."""
-    if document.get("bench") == "cluster":
-        return compare_cluster_to_baseline(document, baseline)
-    if document.get("bench") == "sched":
-        return compare_sched_to_baseline(document, baseline)
-    if document.get("bench") == "ring":
-        return compare_ring_to_baseline(document, baseline)
-    current = document.get("solver_counters", {})
-    expected = baseline.get("solver_counters", {})
-    lines = []
-
-    decided_now = (current.get("decided_structurally", 0)
-                   + current.get("decided_by_preprocessing", 0))
-    decided_base = (expected.get("decided_structurally", 0)
-                    + expected.get("decided_by_preprocessing", 0))
-    lines.append(f"decided without search: {decided_now} "
-                 f"(baseline {decided_base})")
-    if decided_now * 2 < decided_base:
-        _fail(f"goals decided without CDCL search regressed more than 2x: "
-              f"{decided_now} vs baseline {decided_base}")
-
-    conflicts_now = current.get("sat_conflicts", 0)
-    conflicts_base = expected.get("sat_conflicts", 0)
-    lines.append(f"sat conflicts: {conflicts_now} "
-                 f"(baseline {conflicts_base})")
-    if conflicts_now > 2 * max(conflicts_base, 1):
-        _fail(f"sat_conflicts regressed more than 2x: {conflicts_now} vs "
-              f"baseline {conflicts_base}")
+    if bench not in GATES:
+        raise GateFailure(f"unknown bench name {bench!r} "
+                          f"(known: {sorted(GATES)})")
+    failures = list(_row_failures(document, bench))
+    if not failures:
+        failures += _rule_failures(document, bench)
+    lines: list[str] = []
+    if baseline is not None and not failures:
+        if "quick" in baseline and baseline["quick"] != document.get("quick"):
+            lines.append("quick flag differs from baseline; "
+                         "skipping baseline gates")
+        else:
+            failures += _baseline_failures(document, baseline, bench, lines)
+    if failures:
+        raise GateFailure("\n  ".join(f"{bench}: {f}" for f in failures))
     return lines
 
 
@@ -431,21 +311,26 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("file", help="BENCH_*.json file to validate")
     parser.add_argument("--baseline", default=None,
-                        help="committed baseline JSON to compare "
-                             "deterministic solver counters against")
+                        help="committed baseline JSON to compare the "
+                             "exact/shrink/grow rows against")
     args = parser.parse_args(argv)
 
     with open(args.file) as fh:
         document = json.load(fh)
-    validate_schema(document)
-    print(f"check_bench_json: schema OK "
-          f"({document['bench']}, v{document['schema_version']})")
-
+    baseline = None
     if args.baseline:
         with open(args.baseline) as fh:
             baseline = json.load(fh)
-        for line in compare_to_baseline(document, baseline):
-            print(f"check_bench_json: {line}")
+    try:
+        lines = check(document, baseline)
+    except GateFailure as failure:
+        print(f"check_bench_json: FAIL: {failure}")
+        return 1
+    print(f"check_bench_json: schema OK "
+          f"({document['bench']}, v{document['schema_version']})")
+    for line in lines:
+        print(f"check_bench_json: {line}")
+    if baseline is not None:
         print("check_bench_json: baseline comparison OK")
     return 0
 
