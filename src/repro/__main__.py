@@ -101,6 +101,12 @@ def _build_engine(layers: str, quick: bool):
     )
 
 
+def budget_ladder(first: int) -> tuple:
+    """The retry ladder of ``prove --budget B``: B, then 4B, then one
+    unbounded attempt."""
+    return (first, 4 * first, None)
+
+
 def prove(args) -> int:
     from repro.prover import ProofCache, ProverConfig, prove_all
     from repro.prover.cache import default_cache_dir
@@ -115,7 +121,8 @@ def prove(args) -> int:
     config = ProverConfig(
         use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
-        conflict_budget=args.budget,
+        budgets=(budget_ladder(args.budget) if args.budget is not None
+                 else ProverConfig.budgets),
         preprocess=not args.no_preprocess,
         incremental=not args.no_incremental,
     )
@@ -396,7 +403,9 @@ def main(argv=None) -> int:
     prove_parser.add_argument("--clear-cache", action="store_true",
                               help="drop cached verdicts before running")
     prove_parser.add_argument("--budget", type=int, default=None,
-                              help="first-attempt SMT conflict budget")
+                              help="first-attempt SMT conflict budget B; "
+                                   "retries run 4B, then unbounded "
+                                   "(default 100000)")
     prove_parser.add_argument("--no-preprocess", action="store_true",
                               help="disable the SatELite CNF preprocessor "
                                    "(ablation)")
@@ -540,10 +549,6 @@ def main(argv=None) -> int:
     if args.command == "analyze":
         return analyze(args)
     if args.command == "prove":
-        if args.budget is None:
-            from repro.prover import DEFAULT_CONFLICT_BUDGET
-
-            args.budget = DEFAULT_CONFLICT_BUDGET
         return prove(args)
     return tour()
 

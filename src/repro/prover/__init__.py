@@ -4,9 +4,11 @@ The serial loop in :class:`repro.verif.engine.ProofEngine` discharges the
 Figure 1a population one VC at a time with no caching or telemetry.  This
 subsystem is the production path around it:
 
-* :mod:`repro.prover.scheduler` — a work scheduler fanning VCs out across a
-  process pool, longest-expected-first, with per-VC conflict budgets and a
-  retry ladder;
+* :mod:`repro.prover.scheduler` — a work scheduler running dispatch units
+  (one VC, or a family of same-shape SMT goals sharing one solver) on two
+  lanes, a process pool or inline in the parent, longest-expected-first,
+  under one retry ladder of conflict budgets (``ProverConfig.budgets``,
+  default ``(100_000, 400_000, None)``);
 * :mod:`repro.prover.cache` — a content-addressed persistent proof cache,
   keyed by goal-term fingerprint + solver configuration;
 * :mod:`repro.prover.fingerprint` — the stable fingerprints behind the
@@ -24,7 +26,6 @@ from repro.prover.events import EventLog, ProofEvent
 from repro.prover.fingerprint import goal_fingerprint, term_fingerprint
 from repro.prover.registry import register_builder
 from repro.prover.scheduler import (
-    DEFAULT_CONFLICT_BUDGET,
     ProverConfig,
     ProverScheduler,
     WorkerCrash,
@@ -33,7 +34,6 @@ from repro.prover.scheduler import (
 
 __all__ = [
     "CacheStats",
-    "DEFAULT_CONFLICT_BUDGET",
     "EventLog",
     "ProofCache",
     "ProofEvent",

@@ -6,11 +6,11 @@ it, ``cache-hit`` when the persistent proof cache already holds a verdict,
 number of the retry ladder), and ``run-finished`` with the run totals.
 
 :class:`ProofEvent` is the typed, frozen record; :class:`EventLog` keeps
-the run's own (bounded) list for report summaries *and* republishes every
-event on the process-wide :func:`repro.obs.bus` as ``prover.<kind>`` —
-which is how ``python -m repro prove --trace out.jsonl`` lands prover
-events in the same JSONL stream as SMT-phase spans and kernel-path
-counters, instead of the private stream this module used to maintain.
+the run's own list *and* republishes every event on the process-wide
+:func:`repro.obs.bus` as ``prover.<kind>`` — which is how ``python -m
+repro prove --trace out.jsonl`` lands prover events in the same JSONL
+stream as SMT-phase spans and kernel-path counters, instead of the
+private stream this module used to maintain.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ class ProofEvent:
     seconds: float = 0.0
     #: Time inside the solving pipeline (rewrite + blast + SAT).
     solver_seconds: float = 0.0
-    #: Which lane executed the VC: "inline", "proc", or "thread".
+    #: Which lane executed the VC: "proc" (a process-pool worker) or
+    #: "inline" (the scheduler's own process).
     worker: str = ""
     #: Result status for ``finished`` events ("proved", "failed", ...).
     status: str = ""
@@ -64,37 +65,20 @@ class ProofEvent:
             fields["attempt"] = self.attempt
         return obs.make_event(f"prover.{self.kind}", t=self.t, **fields)
 
-    def line(self) -> str:
-        parts = [f"{self.t:8.3f}s", f"{self.kind:<12}"]
-        if self.vc:
-            parts.append(self.vc)
-        if self.kind == FINISHED:
-            parts.append(f"[{self.status}]")
-            parts.append(f"wall={self.seconds:.3f}s")
-            parts.append(f"solver={self.solver_seconds:.3f}s")
-            if self.attempt > 1:
-                parts.append(f"attempt={self.attempt}")
-        if self.worker:
-            parts.append(f"({self.worker})")
-        return " ".join(parts)
-
 
 @dataclass
 class EventLog:
-    """The run's event record: a bounded typed list for summaries, with
+    """The run's event record: a typed list for tests and callers, with
     every event republished on the shared :mod:`repro.obs` bus (free when
-    nobody is tracing) and to an optional per-run callable sink."""
+    nobody is tracing)."""
 
     events: list[ProofEvent] = field(default_factory=list)
-    sink: object = None  # callable(ProofEvent) | None
 
     def emit(self, event: ProofEvent) -> None:
         self.events.append(event)
         shared = obs.bus()
         if shared.active:
             shared.emit_event(event.to_obs_event())
-        if self.sink is not None:
-            self.sink(event)
 
     def counts(self) -> dict[str, int]:
         out: dict[str, int] = {}
@@ -104,28 +88,3 @@ class EventLog:
 
     def of_kind(self, kind: str) -> list[ProofEvent]:
         return [e for e in self.events if e.kind == kind]
-
-    def wall_seconds(self) -> float:
-        return max((e.t for e in self.events), default=0.0)
-
-    def cumulative_solver_seconds(self) -> float:
-        return sum(e.solver_seconds for e in self.events
-                   if e.kind == FINISHED)
-
-    def summary_lines(self) -> list[str]:
-        counts = self.counts()
-        finished = self.of_kind(FINISHED)
-        retried = sum(1 for e in finished if e.attempt > 1)
-        lines = [
-            f"events: {len(self.events)} "
-            f"(queued {counts.get(QUEUED, 0)}, "
-            f"cache-hit {counts.get(CACHE_HIT, 0)}, "
-            f"started {counts.get(STARTED, 0)}, "
-            f"finished {counts.get(FINISHED, 0)})",
-            f"wall-clock: {self.wall_seconds():.2f} s, cumulative solver "
-            f"time: {self.cumulative_solver_seconds():.2f} s",
-        ]
-        if retried:
-            lines.append(f"budget retries: {retried} VCs needed more than "
-                         f"one attempt")
-        return lines

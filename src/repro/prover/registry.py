@@ -10,8 +10,8 @@ population.
 
 Builders registered at runtime (tests, ad-hoc populations) also work with
 the process pool on platforms whose default start method is ``fork``, since
-the child inherits this module's state; the scheduler falls back to
-in-process threads whenever a VC is not reconstructible.
+the child inherits this module's state; the scheduler runs a VC inline,
+in its own process, whenever it is not reconstructible.
 """
 
 from __future__ import annotations

@@ -5,26 +5,28 @@ cached, observable job system:
 
 * **cache pass** — every SMT VC's goal is built and fingerprinted in the
   parent; persistent-cache hits never reach a worker;
-* **fan-out** — remaining VCs run on a process pool (the CDCL solver is
-  GIL-bound, so threads cannot scale it).  Goal-builder closures do not
-  pickle, so workers receive ``(builder name, kwargs, vc name)`` and rebuild
-  their VCs from :mod:`repro.prover.registry`; VCs with no registered
-  builder fall back to an in-process thread lane;
+* **fan-out** — dispatch units run on one of two lanes: a process pool
+  (the CDCL solver is GIL-bound, so threads cannot scale it) or inline in
+  the parent.  Goal-builder closures do not pickle, so workers receive
+  ``(builder name, kwargs, vc names)`` and rebuild their VCs from
+  :mod:`repro.prover.registry`; a unit with no registered builder, an
+  ambiguous VC name, or no fork context runs inline while the pool works;
 * **ordering** — longest-expected-first, using last-observed durations from
   the cache's timing history, so the slowest VC (the paper's 11 s tail)
   starts first instead of serializing the end of the run;
 * **family grouping** — SMT goals with the same *shape* (same lemma
   template at different constants) are grouped by
-  :func:`repro.prover.fingerprint.family_fingerprint` and discharged as one
-  unit through a shared :class:`repro.smt.solver.FamilySolver`: one AIG,
-  one CNF, per-goal assumption literals, learnt clauses amortised across
-  the family.  Singleton families keep the classic single-shot path, so
-  their results (counterexample models included) are bit-identical to the
-  serial engine's;
-* **per-VC timeout + retry** — SMT discharges run under a deterministic
-  conflict budget; a budget overrun is a ``TIMEOUT`` that is retried with a
-  geometrically larger budget, unbounded on the final attempt by default so
-  a scheduled run proves exactly what the serial engine proves;
+  :func:`repro.prover.fingerprint.family_fingerprint` into one dispatch
+  unit; every unit, singleton or family, is discharged by
+  :func:`repro.verif.vc.discharge_family`, which shares one
+  :class:`repro.smt.solver.FamilySolver` among two or more SMT goals and
+  gives a singleton the classic single-shot path, so its result
+  (counterexample model included) is bit-identical to the serial engine's;
+* **per-VC timeout + retry** — SMT discharges run under the conflict
+  budgets of ``ProverConfig.budgets``, one per attempt; a budget overrun
+  is a ``TIMEOUT`` retried under the next budget.  The default ladder
+  ``(100_000, 400_000, None)`` ends unbounded, so a scheduled run proves
+  exactly what the serial engine proves;
 * **determinism** — results are reassembled into the engine's insertion
   order, so the :class:`ProofReport` contents and ordering are identical
   for any ``jobs`` value (only the wall-clock changes).
@@ -37,9 +39,8 @@ from __future__ import annotations
 
 import pickle
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, \
-    ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from dataclasses import dataclass, replace
 
 from repro import obs
 from repro.prover import events as ev
@@ -49,12 +50,7 @@ from repro.prover.events import EventLog, ProofEvent
 from repro.prover.fingerprint import family_fingerprint, goal_fingerprint, \
     structural_fingerprint
 from repro.verif.engine import ProofEngine, ProofReport
-from repro.verif.vc import VC, VCResult, VCStatus, discharge_family
-
-#: First-attempt conflict budget.  Generous — the Figure 1a population
-#: stays well under it — so timeouts only appear for genuinely hard goals
-#: or when callers tighten the budget.
-DEFAULT_CONFLICT_BUDGET = 100_000
+from repro.verif.vc import VC, VCResult, VCStatus, crashed, discharge_family
 
 #: Cold-start duration estimates (seconds) per category, used for
 #: longest-expected-first ordering before any timing history exists.
@@ -77,19 +73,14 @@ class ProverConfig:
     jobs: int = 1
     use_cache: bool = True
     cache_dir: str | None = None
-    #: First-attempt conflict budget for SMT goals (None = unbounded).
-    conflict_budget: int | None = DEFAULT_CONFLICT_BUDGET
-    #: Budget multiplier between attempts.
-    budget_growth: int = 4
-    #: Total attempts; the last runs unbounded unless `hard_budget` is set.
-    max_attempts: int = 3
-    #: When True the final attempt keeps the largest finite budget instead
-    #: of running unbounded — undecided goals then surface as TIMEOUT.
-    hard_budget: bool = False
-    #: Optional :class:`repro.faults.plan.FaultPlan`.  The inline and
-    #: thread lanes draw at site ``"prover.worker"`` before each
-    #: discharge; a firing ``worker-crash`` rule kills that worker, which
-    #: the scheduler must absorb as an ERROR verdict, never a lost run.
+    #: The retry ladder: one SMT conflict budget per attempt, retried on
+    #: TIMEOUT.  A final ``None`` runs the last attempt unbounded; a
+    #: finite last entry lets undecided goals surface as TIMEOUT.
+    budgets: tuple = (100_000, 400_000, None)
+    #: Optional :class:`repro.faults.plan.FaultPlan`.  The inline lane
+    #: draws at site ``"prover.worker"`` before each discharge; a firing
+    #: ``worker-crash`` rule kills that worker, which the scheduler must
+    #: absorb as an ERROR verdict, never a lost run.
     fault_plan: object | None = None
     #: Run the SatELite CNF preprocessor on every SMT discharge.
     preprocess: bool = True
@@ -98,54 +89,9 @@ class ProverConfig:
     #: classic one-solver-per-VC path for every goal.
     incremental: bool = True
 
-    def budgets(self) -> list[int | None]:
-        """The retry ladder of conflict budgets, e.g. [100k, 400k, None]."""
-        if self.conflict_budget is None:
-            return [None]
-        attempts = max(1, self.max_attempts)
-        ladder: list[int | None] = [
-            self.conflict_budget * self.budget_growth ** i
-            for i in range(attempts - 1)
-        ]
-        if self.hard_budget:
-            last = (self.conflict_budget
-                    * self.budget_growth ** max(0, attempts - 1))
-            ladder.append(last)
-        else:
-            ladder.append(None)
-        return ladder
-
 
 class WorkerCrash(RuntimeError):
     """A (simulated) prover worker died mid-discharge."""
-
-
-def _crash_result(vc: VC, exc: BaseException) -> VCResult:
-    return VCResult(
-        name=vc.name,
-        status=VCStatus.ERROR,
-        seconds=0.0,
-        category=vc.category,
-        detail=f"worker failed: {type(exc).__name__}: {exc}",
-    )
-
-
-def _discharge_with_ladder(vc: VC, budgets,
-                           preprocess: bool = True) -> tuple[VCResult, int]:
-    """Run the retry ladder; returns the final result (its `seconds`
-    accumulated across attempts) and the attempt count."""
-    total_seconds = 0.0
-    total_solver = 0.0
-    ladder = budgets if vc.is_smt else [None]
-    for attempt, budget in enumerate(ladder, start=1):
-        result = vc.discharge(max_conflicts=budget, preprocess=preprocess)
-        total_seconds += result.seconds
-        total_solver += result.solver_seconds
-        if result.status is not VCStatus.TIMEOUT or attempt == len(ladder):
-            result.seconds = total_seconds
-            result.solver_seconds = total_solver
-            return result, attempt
-    raise AssertionError("unreachable: ladder always returns")
 
 
 # ---------------------------------------------------------------------------
@@ -153,59 +99,19 @@ def _discharge_with_ladder(vc: VC, budgets,
 # ---------------------------------------------------------------------------
 
 
-def _serialize_result(result: VCResult, attempt: int) -> dict:
-    counterexample = result.counterexample
-    if counterexample is not None:
-        try:
-            pickle.dumps(counterexample)
-        except Exception:
-            counterexample = repr(counterexample)
-    return {
-        "name": result.name,
-        "status": result.status.value,
-        "seconds": result.seconds,
-        "category": result.category,
-        "detail": result.detail,
-        "counterexample": counterexample,
-        "solver_seconds": result.solver_seconds,
-        "solver_stats": result.solver_stats,
-        "attempt": attempt,
-    }
-
-
-def _deserialize_result(payload: dict) -> tuple[VCResult, int]:
-    result = VCResult(
-        name=payload["name"],
-        status=VCStatus(payload["status"]),
-        seconds=payload["seconds"],
-        category=payload["category"],
-        detail=payload["detail"],
-        counterexample=payload["counterexample"],
-        solver_seconds=payload["solver_seconds"],
-        solver_stats=payload["solver_stats"],
-    )
-    return result, payload["attempt"]
-
-
-def _pool_discharge(builder: str, kwargs: dict, vc_name: str,
-                    budgets: list, preprocess: bool = True) -> dict:
-    """Worker entry point: rebuild the VC by name and discharge it."""
-    vc = registry.rebuild_vc(builder, kwargs, vc_name)
-    result, attempt = _discharge_with_ladder(vc, budgets, preprocess)
-    return _serialize_result(result, attempt)
-
-
-def _pool_discharge_family(builder: str, kwargs: dict, vc_names: list,
-                           budgets: list,
-                           preprocess: bool = True) -> list[dict]:
-    """Worker entry point for a whole family: rebuild every member and
-    discharge them in order through one shared solver."""
+def _pool_discharge(builder: str, kwargs: dict, vc_names: list,
+                    budgets, preprocess: bool) -> list[tuple[VCResult, int]]:
+    """Worker entry point: rebuild one dispatch unit's VCs by name and
+    discharge them in order.  A counterexample that cannot pickle travels
+    as its repr."""
     vcs = [registry.rebuild_vc(builder, kwargs, name) for name in vc_names]
-    return [
-        _serialize_result(result, attempt)
-        for result, attempt in discharge_family(vcs, budgets,
-                                                preprocess=preprocess)
-    ]
+    outs = discharge_family(vcs, budgets, preprocess)
+    for result, _ in outs:
+        try:
+            pickle.dumps(result.counterexample)
+        except Exception:
+            result.counterexample = repr(result.counterexample)
+    return outs
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +135,7 @@ class ProverScheduler:
     def __init__(self, engine: ProofEngine,
                  config: ProverConfig | None = None,
                  cache: ProofCache | None = None,
-                 on_event=None, progress=None) -> None:
+                 progress=None) -> None:
         self.engine = engine
         self.config = config or ProverConfig()
         if cache is not None:
@@ -239,7 +145,7 @@ class ProverScheduler:
                                     or default_cache_dir())
         else:
             self.cache = None
-        self.events = EventLog(sink=on_event)
+        self.events = EventLog()
         self.progress = progress
         self._t0 = 0.0
         self._unique_names: set[str] = set()
@@ -326,10 +232,7 @@ class ProverScheduler:
         pending.sort(key=lambda j: (-j.expected, j.index))
         units = self._form_units(pending)
 
-        if self.config.jobs <= 1 or not pending:
-            self._run_inline(units, results, fresh_timings)
-        else:
-            self._run_pools(units, results, fresh_timings)
+        self._dispatch(units, results, fresh_timings)
 
         report = ProofReport(results=[r for r in results if r is not None])
         run_span.finish()
@@ -340,7 +243,7 @@ class ProverScheduler:
                    solver_seconds=report.solver_seconds)
         return report
 
-    # -- inline lane -------------------------------------------------------
+    # -- lanes -------------------------------------------------------------
 
     def _finish(self, job: _Job, result: VCResult, attempt: int, lane: str,
                 results, fresh_timings) -> None:
@@ -364,13 +267,9 @@ class ProverScheduler:
         if decision is not None and decision.kind == "worker-crash":
             raise WorkerCrash(f"injected crash discharging {vc.name}")
 
-    def _lane_discharge(self, vc: VC, budgets) -> tuple[VCResult, int]:
-        self._maybe_crash(vc)
-        return _discharge_with_ladder(vc, budgets, self.config.preprocess)
-
-    def _lane_discharge_family(self, unit, budgets):
-        return discharge_family([job.vc for job in unit], budgets,
-                                preprocess=self.config.preprocess,
+    def _lane_discharge(self, unit: list[_Job]) -> list[tuple[VCResult, int]]:
+        return discharge_family([job.vc for job in unit],
+                                self.config.budgets, self.config.preprocess,
                                 on_member=self._maybe_crash)
 
     def _form_units(self, pending) -> list[list[_Job]]:
@@ -406,31 +305,6 @@ class ProverScheduler:
                 units.append([job])
         return units
 
-    def _run_inline(self, units, results, fresh_timings) -> None:
-        budgets = self.config.budgets()
-        for unit in units:
-            for job in unit:
-                self._emit(ev.STARTED, job.vc, worker="inline")
-            if len(unit) == 1:
-                job = unit[0]
-                try:
-                    result, attempt = self._lane_discharge(job.vc, budgets)
-                except Exception as exc:
-                    # a dead worker costs one ERROR verdict, not the run —
-                    # same contract the pool lanes already keep
-                    result, attempt = _crash_result(job.vc, exc), 1
-                outs = [(result, attempt)]
-            else:
-                try:
-                    outs = self._lane_discharge_family(unit, budgets)
-                except Exception as exc:
-                    outs = [(_crash_result(j.vc, exc), 1) for j in unit]
-            for job, (result, attempt) in zip(unit, outs):
-                self._finish(job, result, attempt, "inline", results,
-                             fresh_timings)
-
-    # -- parallel lanes ----------------------------------------------------
-
     def _fork_context(self):
         import multiprocessing
 
@@ -439,103 +313,74 @@ class ProverScheduler:
         except ValueError:
             return None
 
-    def _run_pools(self, units, results, fresh_timings) -> None:
-        budgets = self.config.budgets()
+    def _dispatch(self, units, results, fresh_timings) -> None:
+        """Send every unit the pool can rebuild to the process pool, run
+        the rest inline while the pool works, then collect the pool."""
         spec = self.engine.rebuild_spec
-        context = self._fork_context() if spec is not None else None
-
-        proc_units: list[list[_Job]] = []
-        thread_units: list[list[_Job]] = []
-        if spec is not None and context is not None:
-            for unit in units:
-                # Reconstruction is by name: ambiguous (duplicated) names
-                # cannot be dispatched to a worker process.  A family unit
-                # travels whole — one ambiguous member keeps the family in
-                # the thread lane.
-                (proc_units
-                 if all(j.vc.name in self._unique_names for j in unit)
-                 else thread_units).append(unit)
-        else:
-            thread_units = list(units)
-
-        pools = []
-        future_to_unit = {}
+        context = (self._fork_context()
+                   if self.config.jobs > 1 and spec is not None else None)
+        # Reconstruction is by name: a unit with an ambiguous (duplicated)
+        # member name stays inline, and a family unit travels whole.
+        pooled: list[list[_Job]] = []
+        inline: list[list[_Job]] = []
+        for unit in units:
+            (pooled if context is not None and all(
+                job.vc.name in self._unique_names for job in unit)
+             else inline).append(unit)
+        executor = (ProcessPoolExecutor(max_workers=self.config.jobs,
+                                        mp_context=context)
+                    if pooled else None)
         try:
-            if proc_units:
-                executor = ProcessPoolExecutor(
-                    max_workers=self.config.jobs, mp_context=context)
-                pools.append(executor)
-                builder_name, builder_kwargs = spec
-                for unit in proc_units:
-                    for job in unit:
-                        self._emit(ev.STARTED, job.vc, worker="proc")
-                    if len(unit) == 1:
-                        future = executor.submit(
-                            _pool_discharge, builder_name, builder_kwargs,
-                            unit[0].vc.name, budgets, self.config.preprocess)
-                    else:
-                        future = executor.submit(
-                            _pool_discharge_family, builder_name,
-                            builder_kwargs, [j.vc.name for j in unit],
-                            budgets, self.config.preprocess)
-                    future_to_unit[future] = (unit, "proc")
-            if thread_units:
-                executor = ThreadPoolExecutor(
-                    max_workers=self.config.jobs,
-                    thread_name_prefix="prover")
-                pools.append(executor)
-                for unit in thread_units:
-                    for job in unit:
-                        self._emit(ev.STARTED, job.vc, worker="thread")
-                    if len(unit) == 1:
-                        future = executor.submit(
-                            self._lane_discharge, unit[0].vc, budgets)
-                    else:
-                        future = executor.submit(
-                            self._lane_discharge_family, unit, budgets)
-                    future_to_unit[future] = (unit, "thread")
-
-            outstanding = set(future_to_unit)
-            while outstanding:
-                done, outstanding = wait(outstanding,
-                                         return_when=FIRST_COMPLETED)
-                for future in done:
-                    unit, lane = future_to_unit[future]
-                    try:
-                        payload = future.result()
-                    except Exception as exc:
-                        outs = [(_crash_result(j.vc, exc), 1) for j in unit]
-                    else:
-                        if len(unit) == 1:
-                            outs = [_deserialize_result(payload)
-                                    if lane == "proc" else payload]
-                        elif lane == "proc":
-                            outs = [_deserialize_result(p) for p in payload]
-                        else:
-                            outs = payload
-                    for job, (result, attempt) in zip(unit, outs):
-                        self._finish(job, result, attempt, lane, results,
-                                     fresh_timings)
+            futures = {}
+            for unit in pooled:
+                self._start(unit, "proc")
+                futures[executor.submit(
+                    _pool_discharge, *spec, [job.vc.name for job in unit],
+                    self.config.budgets, self.config.preprocess)] = unit
+            for unit in inline:
+                self._start(unit, "inline")
+                self._collect(unit, "inline",
+                              lambda: self._lane_discharge(unit),
+                              results, fresh_timings)
+            for future in as_completed(futures):
+                self._collect(futures[future], "proc", future.result,
+                              results, fresh_timings)
         finally:
-            for pool in pools:
-                pool.shutdown(wait=True)
+            if executor is not None:
+                executor.shutdown(wait=True)
+
+    def _start(self, unit: list[_Job], lane: str) -> None:
+        for job in unit:
+            self._emit(ev.STARTED, job.vc, worker=lane)
+
+    def _collect(self, unit, lane: str, outcomes, results,
+                 fresh_timings) -> None:
+        """Finish every member of `unit` from ``outcomes()``; a dead
+        worker costs each member an ERROR verdict, not the run."""
+        try:
+            outs = outcomes()
+        except Exception as exc:
+            outs = [(crashed(job.vc, exc), 1) for job in unit]
+        for job, (result, attempt) in zip(unit, outs):
+            self._finish(job, result, attempt, lane, results, fresh_timings)
 
 
-def prove_all(engine: ProofEngine, jobs: int = 1,
+def prove_all(engine: ProofEngine, jobs: int | None = None,
               cache: ProofCache | None = None,
               config: ProverConfig | None = None,
-              on_event=None, progress=None) -> ProofReport:
+              progress=None) -> ProofReport:
     """Discharge every VC of `engine` under the scheduler.
 
     Returns a :class:`ProofReport` whose contents and ordering are
     independent of `jobs`; `report.wall_seconds` carries the end-to-end
     time and `report.cache_hits` the number of VCs served from the
-    persistent proof cache.  Pass ``config=ProverConfig(use_cache=False)``
-    (or a `cache` instance) to control caching explicitly."""
-    if config is None:
-        config = ProverConfig(jobs=jobs)
-    else:
-        config.jobs = jobs
+    persistent proof cache.  `jobs` defaults to ``config.jobs``; an
+    explicit value applies to a copy, never to the caller's config.  Pass
+    ``config=ProverConfig(use_cache=False)`` (or a `cache` instance) to
+    control caching explicitly."""
+    config = config or ProverConfig()
+    if jobs is not None:
+        config = replace(config, jobs=jobs)
     scheduler = ProverScheduler(engine, config=config, cache=cache,
-                                on_event=on_event, progress=progress)
+                                progress=progress)
     return scheduler.run()

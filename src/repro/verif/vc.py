@@ -91,192 +91,122 @@ class VC:
         if self.goal_builder is not None:
             from repro.smt.solver import prove
 
-            result = prove(self.goal_builder(), simplify=self.simplify,
-                           max_conflicts=max_conflicts,
-                           preprocess=preprocess)
-            return result.model if result.sat else None, result.stats
+            return _outcome(prove(self.goal_builder(), simplify=self.simplify,
+                                  max_conflicts=max_conflicts,
+                                  preprocess=preprocess))
         assert self.check is not None, f"VC {self.name} has no strategy"
         return self.check(), None
 
     def discharge(self, max_conflicts: int | None = None,
                   preprocess: bool = True) -> VCResult:
-        from repro.smt.sat import BudgetExceeded
-
-        # The span is the Figure 1a unit of measurement: its duration
-        # joins the labeled `vc.discharge_seconds` population and, when
-        # tracing is on, appears as a `vc.discharge` event.
-        span = obs.span("vc.discharge", histogram="vc.discharge_seconds",
-                        labels={"category": self.category},
-                        vc=self.name).start()
-        try:
-            counterexample, stats = self._invoke(max_conflicts, preprocess)
-        except BudgetExceeded as exc:
-            elapsed = span.finish()
-            return VCResult(
-                name=self.name,
-                status=VCStatus.TIMEOUT,
-                seconds=elapsed,
-                category=self.category,
-                detail=str(exc),
-                solver_seconds=elapsed,
-            )
-        except Exception as exc:  # surfaced, never swallowed silently
-            elapsed = span.finish()
-            return VCResult(
-                name=self.name,
-                status=VCStatus.ERROR,
-                seconds=elapsed,
-                category=self.category,
-                detail=f"{type(exc).__name__}: {exc}",
-            )
-        elapsed = span.finish()
-        solver_seconds = stats.solver_seconds if stats is not None else elapsed
-        solver_stats = stats.deterministic() if stats is not None else {}
-        if counterexample is None:
-            return VCResult(
-                name=self.name,
-                status=VCStatus.PROVED,
-                seconds=elapsed,
-                category=self.category,
-                solver_seconds=solver_seconds,
-                solver_stats=solver_stats,
-            )
-        return VCResult(
-            name=self.name,
-            status=VCStatus.FAILED,
-            seconds=elapsed,
-            category=self.category,
-            detail=str(counterexample),
-            counterexample=counterexample,
-            solver_seconds=solver_seconds,
-            solver_stats=solver_stats,
-        )
+        return _timed(self, lambda: self._invoke(max_conflicts, preprocess))
 
 
-def _discharge_single_with_ladder(vc: "VC", budgets, preprocess: bool,
-                                  on_member) -> tuple[VCResult, int]:
-    """Classic single-shot discharge under a retry ladder — the degraded
-    path for family members whose shared context failed to build."""
-    try:
-        if on_member is not None:
-            on_member(vc)
-    except Exception as exc:
-        return (VCResult(
-            name=vc.name, status=VCStatus.ERROR, seconds=0.0,
-            category=vc.category,
-            detail=f"worker failed: {type(exc).__name__}: {exc}",
-        ), 1)
-    total_seconds = 0.0
-    total_solver = 0.0
-    ladder = list(budgets) or [None]
-    for attempt, budget in enumerate(ladder, start=1):
-        result = vc.discharge(max_conflicts=budget, preprocess=preprocess)
-        total_seconds += result.seconds
-        total_solver += result.solver_seconds
-        if result.status is not VCStatus.TIMEOUT or attempt == len(ladder):
-            result.seconds = total_seconds
-            result.solver_seconds = total_solver
-            return result, attempt
-    raise AssertionError("unreachable: ladder always returns")
+def _outcome(result) -> tuple:
+    """A solver result as ``(counterexample or None, stats)``."""
+    return (result.model if result.sat else None), result.stats
 
 
-def discharge_family(vcs: list["VC"], budgets=(None,), preprocess: bool = True,
-                     on_member: Callable[["VC"], None] | None = None,
-                     ) -> list[tuple[VCResult, int]]:
-    """Discharge structurally-similar SMT VCs through one shared
-    incremental solver (:class:`repro.smt.solver.FamilySolver`).
-
-    Members run in the given order — the scheduler passes canonical engine
-    order, which makes every member's delta-counters a deterministic
-    function of the family alone.  Each member gets the same per-attempt
-    span / TIMEOUT / ERROR semantics as :meth:`VC.discharge`, with the
-    retry ladder `budgets` applied per member (a retry reuses the shared
-    solver, so clauses learnt during the failed attempt still help).
-
-    `on_member` is called before each member's first attempt; an exception
-    it raises (the scheduler's fault-injection hook) costs that member an
-    ERROR verdict and the family moves on.
-    """
+def _timed(vc: VC, invoke) -> VCResult:
+    """Run one attempt, ``invoke() -> (counterexample or None, stats or
+    None)``, and map it to a verdict: PROVED, FAILED with the
+    counterexample, TIMEOUT on a conflict-budget overrun, or ERROR."""
     from repro.smt.sat import BudgetExceeded
+
+    result = VCResult(name=vc.name, status=VCStatus.PROVED, seconds=0.0,
+                      category=vc.category)
+    # The span is the Figure 1a unit of measurement: its duration joins
+    # the labeled `vc.discharge_seconds` population and, when tracing is
+    # on, appears as a `vc.discharge` event.
+    span = obs.span("vc.discharge", histogram="vc.discharge_seconds",
+                    labels={"category": vc.category}, vc=vc.name).start()
+    try:
+        counterexample, stats = invoke()
+    except BudgetExceeded as exc:
+        result.status, result.detail = VCStatus.TIMEOUT, str(exc)
+        result.seconds = result.solver_seconds = span.finish()
+        return result
+    except Exception as exc:  # surfaced, never swallowed silently
+        result.status = VCStatus.ERROR
+        result.detail = f"{type(exc).__name__}: {exc}"
+        result.seconds = span.finish()
+        return result
+    result.seconds = span.finish()
+    if stats is None:
+        result.solver_seconds = result.seconds
+    else:
+        result.solver_seconds = stats.solver_seconds
+        result.solver_stats = stats.deterministic()
+    if counterexample is not None:
+        result.status, result.detail = VCStatus.FAILED, str(counterexample)
+        result.counterexample = counterexample
+    return result
+
+
+def crashed(vc: VC, exc: BaseException) -> VCResult:
+    """The ERROR verdict of a VC whose worker died before it finished."""
+    return VCResult(name=vc.name, status=VCStatus.ERROR, seconds=0.0,
+                    category=vc.category,
+                    detail=f"worker failed: {type(exc).__name__}: {exc}")
+
+
+def discharge_family(vcs: list[VC], budgets=(None,), preprocess: bool = True,
+                     on_member: Callable[[VC], None] | None = None,
+                     ) -> list[tuple[VCResult, int]]:
+    """Discharge one dispatch unit of 1..n VCs, in the given order, each
+    under the retry ladder `budgets`; returns ``(result, attempts)`` per
+    member, its `seconds` summed over the attempts.
+
+    Two or more SMT goals share one incremental solver
+    (:class:`repro.smt.solver.FamilySolver`): one AIG, one CNF, learnt
+    clauses kept across members and across a member's retries.  The
+    scheduler passes members in canonical engine order, which makes every
+    member's delta-counters a deterministic function of the family alone.
+    A single VC, a non-SMT VC, or a family whose shared context fails to
+    build takes :meth:`VC.discharge`, so singletons are bit-identical to
+    the serial engine (a goal-builder error then surfaces per VC).
+
+    `on_member` is called before each member's first attempt; an
+    exception it raises (the scheduler's fault-injection hook) costs that
+    member a :func:`crashed` verdict and the unit moves on.
+    """
     from repro.smt.solver import FamilySolver
 
-    assert vcs and all(vc.is_smt for vc in vcs)
-    try:
-        goals = [vc.goal_builder() for vc in vcs]
-        shared = FamilySolver(goals, simplify=vcs[0].simplify,
-                              preprocess=preprocess)
-    except Exception as exc:
-        # A family that cannot even build its shared context degrades to
-        # one classic single-shot discharge per member — the goal builder
-        # (or solver) error then surfaces per-VC, exactly as it would have
-        # without grouping.
-        return [
-            _discharge_single_with_ladder(vc, budgets, preprocess, on_member)
-            for vc in vcs
-        ]
+    shared = None
+    if len(vcs) >= 2 and all(vc.is_smt for vc in vcs):
+        try:
+            shared = FamilySolver([vc.goal_builder() for vc in vcs],
+                                  simplify=vcs[0].simplify,
+                                  preprocess=preprocess)
+        except Exception:
+            pass  # members take VC.discharge; the error surfaces per VC
     # Setup (rewrite + blast + encode + preprocess of the union) happened
     # once for everyone; spread it evenly over the members' timings.
-    setup_share = shared.setup_seconds / len(vcs)
+    setup_share = (shared.setup_seconds / len(vcs)
+                   if shared is not None else 0.0)
     out: list[tuple[VCResult, int]] = []
     for index, vc in enumerate(vcs):
         try:
             if on_member is not None:
                 on_member(vc)
         except Exception as exc:
-            out.append((VCResult(
-                name=vc.name, status=VCStatus.ERROR, seconds=0.0,
-                category=vc.category,
-                detail=f"worker failed: {type(exc).__name__}: {exc}",
-            ), 1))
+            out.append((crashed(vc, exc), 1))
             continue
-        total_seconds = setup_share
-        total_solver = 0.0
-        ladder = list(budgets)
+        ladder = tuple(budgets) if vc.is_smt and budgets else (None,)
+        total_seconds, total_solver = setup_share, 0.0
         for attempt, budget in enumerate(ladder, start=1):
-            span = obs.span("vc.discharge",
-                            histogram="vc.discharge_seconds",
-                            labels={"category": vc.category},
-                            vc=vc.name).start()
-            try:
-                res = shared.prove_member(index, max_conflicts=budget)
-            except BudgetExceeded as exc:
-                elapsed = span.finish()
-                result = VCResult(
-                    name=vc.name, status=VCStatus.TIMEOUT, seconds=elapsed,
-                    category=vc.category, detail=str(exc),
-                    solver_seconds=elapsed,
-                )
-            except Exception as exc:
-                elapsed = span.finish()
-                result = VCResult(
-                    name=vc.name, status=VCStatus.ERROR, seconds=elapsed,
-                    category=vc.category,
-                    detail=f"{type(exc).__name__}: {exc}",
-                )
+            if shared is None:
+                result = vc.discharge(max_conflicts=budget,
+                                      preprocess=preprocess)
             else:
-                elapsed = span.finish()
-                if res.sat:
-                    result = VCResult(
-                        name=vc.name, status=VCStatus.FAILED, seconds=elapsed,
-                        category=vc.category, detail=str(res.model),
-                        counterexample=res.model,
-                        solver_seconds=res.stats.solver_seconds,
-                        solver_stats=res.stats.deterministic(),
-                    )
-                else:
-                    result = VCResult(
-                        name=vc.name, status=VCStatus.PROVED, seconds=elapsed,
-                        category=vc.category,
-                        solver_seconds=res.stats.solver_seconds,
-                        solver_stats=res.stats.deterministic(),
-                    )
+                result = _timed(vc, lambda: _outcome(
+                    shared.prove_member(index, max_conflicts=budget)))
             total_seconds += result.seconds
             total_solver += result.solver_seconds
             if result.status is not VCStatus.TIMEOUT or attempt == len(ladder):
-                result.seconds = total_seconds
-                result.solver_seconds = total_solver
-                out.append((result, attempt))
                 break
+        result.seconds, result.solver_seconds = total_seconds, total_solver
+        out.append((result, attempt))
     return out
 
 

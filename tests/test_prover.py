@@ -22,10 +22,10 @@ from repro.prover.fingerprint import (
     solver_config_fingerprint,
     structural_fingerprint,
 )
-from repro.prover.scheduler import ProverScheduler, _discharge_with_ladder
+from repro.prover.scheduler import ProverScheduler
 from repro.smt import ast
 from repro.verif.engine import ProofEngine
-from repro.verif.vc import VCStatus, forall_vc, smt_vc
+from repro.verif.vc import VCStatus, discharge_family, forall_vc, smt_vc
 
 
 def _goal_x_eq_x(width=8):
@@ -186,8 +186,7 @@ class TestProofCache:
         cache = ProofCache(str(tmp_path))
         engine = ProofEngine()
         engine.add(smt_vc("hard", "lemmas", _hard_goal))
-        config = ProverConfig(conflict_budget=1, max_attempts=1,
-                              hard_budget=True)
+        config = ProverConfig(budgets=(1,))
         report = prove_all(engine, cache=cache, config=config)
         assert report.results[0].status is VCStatus.TIMEOUT
         assert cache.stats.stores == 0
@@ -241,29 +240,25 @@ class TestBudgets:
 
     def test_retry_ladder_eventually_proves(self):
         vc = smt_vc("hard", "lemmas", _hard_goal)
-        config = ProverConfig(conflict_budget=1, budget_growth=4,
-                              max_attempts=3)  # final attempt unbounded
-        result, attempts = _discharge_with_ladder(vc, config.budgets())
+        # final attempt unbounded
+        [(result, attempts)] = discharge_family([vc], (1, 4, None))
         assert result.status is VCStatus.PROVED
         assert attempts > 1
 
     def test_hard_budget_reports_timeout(self):
         engine = ProofEngine()
         engine.add(smt_vc("hard", "lemmas", _hard_goal))
-        config = ProverConfig(use_cache=False, conflict_budget=1,
-                              max_attempts=2, hard_budget=True)
+        config = ProverConfig(use_cache=False, budgets=(1, 4))
         report = prove_all(engine, config=config)
         assert report.results[0].status is VCStatus.TIMEOUT
         assert not report.all_proved
 
     def test_budget_ladder_shape(self):
-        config = ProverConfig(conflict_budget=100, budget_growth=4,
-                              max_attempts=3)
-        assert config.budgets() == [100, 400, None]
-        assert ProverConfig(conflict_budget=None).budgets() == [None]
-        hard = ProverConfig(conflict_budget=100, budget_growth=10,
-                            max_attempts=2, hard_budget=True)
-        assert hard.budgets() == [100, 1000]
+        from repro.__main__ import budget_ladder
+
+        assert budget_ladder(100) == (100, 400, None)
+        # `prove` without --budget runs the default ladder
+        assert budget_ladder(100_000) == ProverConfig().budgets
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +289,6 @@ class TestScheduler:
         counts2 = scheduler2.events.counts()
         assert counts2[ev.CACHE_HIT] == 1
         assert counts2[ev.STARTED] == 1
-        assert scheduler2.events.summary_lines()
 
     def test_longest_expected_first_uses_history(self, tmp_path):
         cache = ProofCache(str(tmp_path))
@@ -367,7 +361,7 @@ class TestScheduler:
         assert by_name["x_is_zero"].status is VCStatus.FAILED
         assert by_name["x_is_zero"].counterexample  # a model for x != 0
 
-    def test_unreconstructible_population_falls_back_to_threads(self):
+    def test_unreconstructible_population_runs_inline(self):
         engine = ProofEngine()  # no rebuild_spec: closures cannot pickle
         engine.add(forall_vc("a", "demo", [1, 2], lambda x: x > 0))
         engine.add(smt_vc("g", "lemmas", _goal_x_eq_x))
@@ -376,7 +370,64 @@ class TestScheduler:
         report = scheduler.run()
         assert report.all_proved
         lanes = {e.worker for e in scheduler.events.of_kind(ev.STARTED)}
-        assert lanes == {"thread"}
+        assert lanes == {"inline"}
+
+    def test_ambiguous_names_run_inline_beside_the_pool(self):
+        def build():
+            engine = ProofEngine()
+            engine.rebuild_spec = ("test-mixed-pop", {})
+            engine.add(forall_vc("dup", "demo", [1, 2], lambda x: x > 0))
+            engine.add(forall_vc("solo", "demo", [3], lambda x: x > 0))
+            engine.add(forall_vc("dup", "demo", [4], lambda x: x > 0))
+            engine.add(smt_vc("g", "lemmas", _goal_x_eq_x))
+            return engine
+
+        register_builder("test-mixed-pop", build)
+        scheduler = ProverScheduler(
+            build(), config=ProverConfig(jobs=2, use_cache=False))
+        report = scheduler.run()
+        assert report.all_proved
+        assert [r.name for r in report.results] == ["dup", "solo", "dup", "g"]
+        lanes = {e.vc: e.worker for e in scheduler.events.of_kind(ev.STARTED)}
+        assert lanes == {"dup": "inline", "solo": "proc", "g": "proc"}
+
+    def test_injected_crashes_independent_of_jobs(self):
+        from repro.faults.plan import FaultPlan, FaultRule
+
+        def errors(jobs):
+            engine = ProofEngine()  # no rebuild_spec: every unit inline
+            for i in range(6):
+                engine.add(forall_vc(f"f{i}", "demo", [i], lambda x: True))
+                engine.add(smt_vc(f"g{i}", "lemmas",
+                                  lambda i=i: _family_goal(i + 1)))
+            plan = FaultPlan(7, rules=[FaultRule(
+                site="prover.worker", kind="worker-crash", every=4)])
+            report = prove_all(engine, jobs=jobs, config=ProverConfig(
+                use_cache=False, fault_plan=plan))
+            return [r.name for r in report.results
+                    if r.status is VCStatus.ERROR]
+
+        serial = errors(1)
+        assert serial and serial == errors(3)
+
+    def test_explicit_jobs_never_rewrites_the_callers_config(self):
+        from repro import obs
+
+        def build():
+            engine = ProofEngine()
+            engine.rebuild_spec = ("test-config-pop", {})
+            engine.add(forall_vc("a", "demo", [1], lambda x: True))
+            return engine
+
+        register_builder("test-config-pop", build)
+        pooled = obs.counter("prover.discharged", lane="proc")
+        config = ProverConfig(jobs=4, use_cache=False)
+        before = pooled.value
+        prove_all(build(), config=config)  # runs at config.jobs
+        assert pooled.value == before + 1
+        assert config.jobs == 4
+        prove_all(build(), jobs=1, config=config)
+        assert pooled.value == before + 1 and config.jobs == 4
 
     def test_worker_error_is_reported_not_raised(self):
         def build():
