@@ -31,9 +31,10 @@ class EntryView:
     paddr: int = 0
     flags: Flags = Flags()
 
-    @staticmethod
-    def empty() -> "EntryView":
-        return EntryView(EntryKind.EMPTY)
+
+# EntryView is frozen, so every non-present entry decodes to this one
+# shared view instead of a fresh allocation.
+_EMPTY_VIEW = EntryView(EntryKind.EMPTY)
 
 
 def encode_table(next_table_paddr: int) -> int:
@@ -119,7 +120,7 @@ def decode(raw: int, level: int) -> EntryView:
     if not 0 <= level < defs.NUM_LEVELS:
         raise ValueError(f"bad level {level}")
     if not wordlib.bit(raw, defs.BIT_PRESENT):
-        return EntryView.empty()
+        return _EMPTY_VIEW
     maps_page = level == 3 or (
         level in (1, 2) and wordlib.bit(raw, defs.BIT_HUGE)
     )

@@ -402,8 +402,7 @@ class PageTable:
 
     def _walk_tables(self, table: int, level: int, vbase: int, out: list[Mapping]):
         shift = defs.LEVEL_SHIFTS[level]
-        for index in range(defs.ENTRIES_PER_TABLE):
-            raw = self.memory.load_u64(table + index * defs.ENTRY_SIZE)
+        for index, raw in enumerate(self.memory.frame_words(table)):
             view = entry.decode(raw, level)
             if view.kind is EntryKind.EMPTY:
                 continue
@@ -426,8 +425,7 @@ class PageTable:
 
     def _free_tables(self, table: int, level: int) -> None:
         if level < defs.NUM_LEVELS - 1:
-            for index in range(defs.ENTRIES_PER_TABLE):
-                raw = self.memory.load_u64(table + index * defs.ENTRY_SIZE)
+            for raw in self.memory.frame_words(table):
                 view = entry.decode(raw, level)
                 if view.kind is EntryKind.TABLE:
                     self._free_tables(view.paddr, level + 1)
@@ -443,8 +441,7 @@ class PageTable:
         out.append(table)
         if level >= defs.NUM_LEVELS - 1:
             return
-        for index in range(defs.ENTRIES_PER_TABLE):
-            raw = self.memory.load_u64(table + index * defs.ENTRY_SIZE)
+        for raw in self.memory.frame_words(table):
             view = entry.decode(raw, level)
             if view.kind is EntryKind.TABLE:
                 self._collect_frames(view.paddr, level + 1, out)

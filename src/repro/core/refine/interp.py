@@ -59,8 +59,7 @@ def _interpret_table(
         raise IllFormedTree(f"table frame {table_paddr:#x} misaligned")
 
     shift = defs.LEVEL_SHIFTS[level]
-    for index in range(defs.ENTRIES_PER_TABLE):
-        raw = memory.load_u64(table_paddr + index * defs.ENTRY_SIZE)
+    for index, raw in enumerate(memory.frame_words(table_paddr)):
         view = entry.decode(raw, level)
         if view.kind is EntryKind.EMPTY:
             if strict and raw != 0:
@@ -95,19 +94,29 @@ def tree_invariants(memory: PhysicalMemory, root_paddr: int) -> str | None:
         interpret(memory, root_paddr, strict=True)
     except IllFormedTree as exc:
         return str(exc)
-    # No empty intermediate tables: every reachable table at level > 0
-    # contains at least one present entry (the unmap path GCs them).
+    found = empty_intermediate_table(memory, root_paddr)
+    if found is not None:
+        table, level = found
+        return f"empty intermediate table at {table:#x} (level {level})"
+    return None
+
+
+def empty_intermediate_table(
+    memory: PhysicalMemory, root_paddr: int
+) -> tuple[int, int] | None:
+    """The first reachable table below the root with no present entry, as
+    ``(table paddr, level)``, or None.  The unmap path GCs such tables, so
+    the no-empty-intermediate invariant demands there are none."""
     stack = [(root_paddr, 0)]
     while stack:
         table, level = stack.pop()
         present = 0
-        for index in range(defs.ENTRIES_PER_TABLE):
-            raw = memory.load_u64(table + index * defs.ENTRY_SIZE)
+        for raw in memory.frame_words(table):
             view = entry.decode(raw, level)
             if view.kind is not EntryKind.EMPTY:
                 present += 1
             if view.kind is EntryKind.TABLE:
                 stack.append((view.paddr, level + 1))
         if level > 0 and present == 0:
-            return f"empty intermediate table at {table:#x} (level {level})"
+            return table, level
     return None

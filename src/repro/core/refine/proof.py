@@ -37,7 +37,7 @@ from repro.core.pt.impl import (
     SimpleFrameAllocator,
 )
 from repro.core.refine import scenarios as scen
-from repro.core.refine.interp import interpret
+from repro.core.refine.interp import empty_intermediate_table, interpret
 from repro.core.refine.lemmas import all_lemma_vcs
 from repro.core.spec import hardware as hwspec
 from repro.core.spec.highlevel import AbstractState, map_enabled, unmap_enabled
@@ -60,8 +60,7 @@ def _reachable_entries(memory, root):
     stack = [(root, 0)]
     while stack:
         table, level = stack.pop()
-        for index in range(defs.ENTRIES_PER_TABLE):
-            raw = memory.load_u64(table + index * defs.ENTRY_SIZE)
+        for index, raw in enumerate(memory.frame_words(table)):
             yield level, table, index, raw
             view = entry.decode(raw, level)
             if view.kind is entry.EntryKind.TABLE:
@@ -98,25 +97,11 @@ def inv_frames_aligned(memory, pt):
 
 
 def inv_no_empty_intermediate(memory, pt):
-    stack = [(pt.root_paddr, 0)]
-    while stack:
-        table, level = stack.pop()
-        present = 0
-        for index in range(defs.ENTRIES_PER_TABLE):
-            raw = memory.load_u64(table + index * defs.ENTRY_SIZE)
-            view = entry.decode(raw, level)
-            if view.kind is not entry.EntryKind.EMPTY:
-                present += 1
-            if view.kind is entry.EntryKind.TABLE:
-                stack.append((view.paddr, level + 1))
-        if level > 0 and present == 0:
-            return False
-    return True
+    return empty_intermediate_table(memory, pt.root_paddr) is None
 
 
 def inv_no_pml4_huge_bit(memory, pt):
-    for index in range(defs.ENTRIES_PER_TABLE):
-        raw = memory.load_u64(pt.root_paddr + index * defs.ENTRY_SIZE)
+    for raw in memory.frame_words(pt.root_paddr):
         if raw & 1 and raw & (1 << defs.BIT_HUGE):
             return False
     return True

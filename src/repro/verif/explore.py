@@ -33,10 +33,14 @@ def reachable_states(
     machine: SpecStateMachine,
     max_states: int = 10_000,
     max_depth: int | None = None,
+    steps: dict | None = None,
 ) -> ExploreResult:
     """BFS over the machine's reachable states, checking invariants.
 
     Traces to violations are recorded so VC counterexamples are replayable.
+    When `steps` is given, it receives each expanded state's list of
+    enabled ``(name, args, successor)`` triples, so later obligations over
+    the same states need not recompute them.
     """
     result = ExploreResult()
     seen: set = set()
@@ -58,7 +62,10 @@ def reachable_states(
         if max_depth is not None and depth >= max_depth:
             result.truncated = True
             continue
-        for name, args, successor in machine.enabled_steps(state):
+        enabled = list(machine.enabled_steps(state))
+        if steps is not None:
+            steps[state] = enabled
+        for name, args, successor in enabled:
             if successor in seen:
                 continue
             if len(seen) >= max_states:
@@ -73,15 +80,21 @@ def check_inductive(
     machine: SpecStateMachine,
     states,
     invariant_name: str,
+    steps=None,
 ) -> tuple | None:
     """Check that one invariant is inductive over a given set of states:
     if it holds in `s` it holds after every enabled step.  Returns a
-    counterexample (state, transition, args, successor) or None."""
+    counterexample (state, transition, args, successor) or None.
+
+    `steps(state)` yields the ``(name, args, successor)`` triples to
+    check; it defaults to ``machine.enabled_steps``."""
     invariant = machine.invariants[invariant_name]
+    if steps is None:
+        steps = machine.enabled_steps
     for state in states:
         if not invariant(state):
             continue  # vacuous: induction only cares about inv states
-        for name, args, successor in machine.enabled_steps(state):
+        for name, args, successor in steps(state):
             if not invariant(successor):
                 return (state, name, args, successor)
     return None
@@ -92,9 +105,11 @@ class FiniteModel:
 
     `builder()` makes the :class:`SpecStateMachine`; the model explores
     it at most once, on first use, and every VC built here shares that
-    reachable set.  The VC factories cover the obligations every finite
-    model carries: full coverage of the reachable space, inductiveness
-    of each invariant, and non-vacuity of the invariants.
+    reachable set and one successor table: each state's enabled steps are
+    computed once, by the exploration or on first demand.  The VC
+    factories cover the obligations every finite model carries: full
+    coverage of the reachable space, inductiveness of each invariant, and
+    non-vacuity of the invariants.
     """
 
     def __init__(self, builder, category: str, max_states: int) -> None:
@@ -102,13 +117,34 @@ class FiniteModel:
         self.category = category
         self.max_states = max_states
         self._explored: tuple | None = None
+        self._steps: dict = {}
+        self._extra: dict = {}
 
     def explored(self) -> tuple[SpecStateMachine, ExploreResult]:
         if self._explored is None:
             machine = self.builder()
             self._explored = (machine, reachable_states(
-                machine, max_states=self.max_states))
+                machine, max_states=self.max_states, steps=self._steps))
         return self._explored
+
+    def _enabled_steps(self, state) -> list:
+        enabled = self._steps.get(state)
+        if enabled is None:
+            machine, _result = self.explored()
+            enabled = self._steps[state] = list(machine.enabled_steps(state))
+        return enabled
+
+    def _induction_states(self, extra_states) -> list:
+        """The reachable states plus those of `extra_states(reachable)`
+        that satisfy every invariant, computed once per function."""
+        machine, result = self.explored()
+        if extra_states is None:
+            return result.states
+        if extra_states not in self._extra:
+            self._extra[extra_states] = result.states + [
+                s for s in extra_states(result.states)
+                if machine.check_invariants(s) is None]
+        return self._extra[extra_states]
 
     def explored_vc(self, name: str, description: str) -> VC:
         """Exploration covers the whole space (hitting the cap is a
@@ -136,20 +172,19 @@ class FiniteModel:
         those satisfying the invariant *conjunction* count (the usual
         strengthening: a state already violating a sibling invariant is
         unreachable noise, not a counterexample)."""
+        def steps(state):
+            enabled = self._enabled_steps(state)
+            if action is None:
+                return enabled
+            return [step for step in enabled if step[0] == action]
+
         def check():
-            machine, result = self.explored()
-            states = result.states
-            if extra_states is not None:
-                states = states + [s for s in extra_states(states)
-                                   if machine.check_invariants(s) is None]
+            machine, _result = self.explored()
             if action is not None:
-                machine = SpecStateMachine(
-                    name=f"{machine.name}-{action}",
-                    init_states=machine.init_states,
-                    transitions=[machine.transition(action)],
-                    invariants=machine.invariants,
-                )
-            return check_inductive(machine, states, invariant)
+                machine.transition(action)  # an unknown action is an error
+            return check_inductive(machine,
+                                   self._induction_states(extra_states),
+                                   invariant, steps=steps)
 
         return VC(name=name, category=self.category, check=check,
                   description=description)

@@ -1,5 +1,8 @@
 """Tests for simulated physical memory."""
 
+import os
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,6 +19,25 @@ class TestConstruction:
 
     def test_num_frames(self):
         assert PhysicalMemory(16 * PAGE_SIZE).num_frames == 16
+
+    def test_fresh_memory_reads_zero(self):
+        size = 16 * 1024 * 1024
+        mem = PhysicalMemory(size)
+        assert mem.load_u64(0) == 0
+        assert mem.load_u64(size - 8) == 0
+
+    def test_forked_child_writes_stay_in_the_child(self):
+        """The prover's process pool forks: a worker's stores must never
+        reach the parent's memory."""
+        mem = PhysicalMemory(PAGE_SIZE)
+        mem.store_u64(0, 7)
+        pid = os.fork()
+        if pid == 0:
+            mem.store_u64(0, 99)
+            os._exit(0 if mem.load_u64(0) == 99 else 1)
+        _pid, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert mem.load_u64(0) == 7
 
 
 class TestWordAccess:
@@ -82,3 +104,20 @@ class TestBulk:
         assert len(words) == 512
         assert words[1] == 42
         assert words[0] == 0
+
+    def test_frame_words_equals_word_loads(self):
+        rng = random.Random(15)
+        mem = PhysicalMemory(4 * PAGE_SIZE)
+        mem.write(0, rng.randbytes(4 * PAGE_SIZE))
+        for frame in range(0, 4 * PAGE_SIZE, PAGE_SIZE):
+            words = mem.frame_words(frame)
+            assert isinstance(words, tuple)
+            assert words == tuple(mem.load_u64(frame + 8 * i)
+                                  for i in range(PAGE_SIZE // 8))
+
+    def test_frame_words_checks_the_frame(self):
+        mem = PhysicalMemory(2 * PAGE_SIZE)
+        with pytest.raises(PhysAccessError, match="misaligned"):
+            mem.frame_words(8)
+        with pytest.raises(PhysAccessError, match="outside"):
+            mem.frame_words(2 * PAGE_SIZE)

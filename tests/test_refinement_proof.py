@@ -191,3 +191,25 @@ class TestTimingReport:
         assert cdf[-1][1] == pytest.approx(1.0)
         fractions = [f for _, f in cdf]
         assert fractions == sorted(fractions)
+
+
+class TestWalkCost:
+    def test_structural_layer_reads_whole_tables(self, monkeypatch):
+        """Loops over a table's 512 entries read it with one
+        `frame_words`; only single-address walks load single words.  The
+        quick structural layer made 3.3 M word loads before that."""
+        calls = 0
+        load_u64 = PhysicalMemory.load_u64
+
+        def counted(self, paddr):
+            nonlocal calls
+            calls += 1
+            return load_u64(self, paddr)
+
+        monkeypatch.setattr(PhysicalMemory, "load_u64", counted)
+        engine = build_proof(include_lemmas=False, include_nr=False,
+                             include_contract=False, scenario_depth=2,
+                             scenario_cap=12)
+        report = engine.run()
+        assert report.total == 107 and report.all_proved
+        assert calls <= 40_000

@@ -1,10 +1,12 @@
 """Tests for state machines, exploration, refinement, and the proof engine."""
 
+from collections import Counter
+
 import pytest
 
 from repro.smt import ast
 from repro.verif.engine import ProofEngine
-from repro.verif.explore import check_inductive, reachable_states
+from repro.verif.explore import FiniteModel, check_inductive, reachable_states
 from repro.verif.refinement import RefinementProof, SimulationCase
 from repro.verif.statemachine import SpecStateMachine, Transition
 from repro.verif.vc import VC, VCStatus, forall_vc, smt_vc
@@ -99,6 +101,80 @@ class TestExplore:
         assert cex is not None
         state, name, args, successor = cex
         assert state == 2 and name == "inc" and successor == 3
+
+
+class TestFiniteModel:
+    @staticmethod
+    def _machine():
+        """Reachable 0, 2, 4 satisfy `not3`; the unreachable 1 steps to 3."""
+        machine = counter_machine(limit=4, stride=2)
+        machine.invariants["not3"] = lambda s: s != 3
+        return machine
+
+    def _counterexample(self, model, invariant, **kwargs):
+        vc = model.inductive_vc(invariant, "vc", "", **kwargs)
+        return vc.discharge().counterexample
+
+    def test_inductive_vc_matches_check_inductive(self):
+        def builder():
+            machine = counter_machine(limit=5)
+            machine.invariants["lt3"] = lambda s: s < 3
+            return machine
+
+        machine = builder()
+        states = reachable_states(machine).states
+        model = FiniteModel(builder, "test", 100)
+        expected = check_inductive(machine, states, "lt3")
+        assert expected == (2, "inc", (), 3)
+        assert self._counterexample(model, "lt3") == expected
+        for action in ("inc", "reset"):
+            sub = SpecStateMachine("sub", machine.init_states,
+                                   [machine.transition(action)],
+                                   machine.invariants)
+            assert (self._counterexample(model, "lt3", action=action)
+                    == check_inductive(sub, states, "lt3"))
+
+    def test_inductive_vc_with_extra_states(self):
+        def extra(states):
+            return [5, 1]  # 5 breaks `bounded`, so only 1 counts
+
+        machine = self._machine()
+        states = reachable_states(machine).states
+        model = FiniteModel(self._machine, "test", 100)
+        assert self._counterexample(model, "not3") is None
+        expected = check_inductive(machine, states + [1], "not3")
+        assert expected == (1, "inc", (), 3)
+        assert self._counterexample(model, "not3",
+                                    extra_states=extra) == expected
+        assert self._counterexample(model, "not3", action="inc",
+                                    extra_states=extra) == expected
+        assert self._counterexample(model, "not3", action="reset",
+                                    extra_states=extra) is None
+
+    def test_enabled_steps_once_per_reachable_state(self):
+        calls = Counter()
+
+        def builder():
+            machine = self._machine()
+            enabled_steps = machine.enabled_steps
+
+            def counted(state):
+                calls[state] += 1
+                return enabled_steps(state)
+
+            machine.enabled_steps = counted
+            return machine
+
+        model = FiniteModel(builder, "test", 100)
+        vcs = [model.explored_vc("explored", "")]
+        for invariant in ("bounded", "not3"):
+            vcs.append(model.inductive_vc(invariant, invariant, ""))
+            for action in ("inc", "reset"):
+                vcs.append(model.inductive_vc(invariant, invariant, "",
+                                              action=action))
+        assert all(vc.discharge().ok for vc in vcs)
+        reachable = model.explored()[1].states
+        assert calls == Counter(reachable)
 
 
 class TestRefinement:
